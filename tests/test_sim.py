@@ -1,14 +1,18 @@
+import hashlib
+import json
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from conftest import make_scenario
 from coexcap.coex import capacity_no_coex
 from coexcap.errors import ConfigError
+from coexcap.params import laa_class4
 from coexcap.sharing import cts_downtime
 from coexcap.sim import (SimConfig, laa_burst_layout, laa_window_airtime,
                          next_cts_instant, run_dfm_simulation,
-                         run_dtm_simulation)
+                         run_dtm_simulation, run_simulation)
 
 SHORT = 1_000_000.0   # 1 s measurement keeps unit tests quick
 
@@ -194,3 +198,32 @@ def test_result_serialization_round_trip():
     assert record["seed"] == 3
     assert record["wifi_throughput_mbps"] == result.wifi_throughput_mbps
     assert record["beacons"] == result.counts.beacons
+
+
+# sha256 over every golden config's result record and trace; pins results
+# and traces to the bit, so a refactor of the event loop cannot drift
+GOLDEN_DIGEST = "df641252c62e0463902d2514e60350d6c7100244d7be176583f157848fcbfe63"
+
+
+def golden_configs():
+    config = partial(SimConfig, measure_us=2e6)
+    for bw in (20, 40, 80, 160):
+        yield config(seed=7, mode="dfm", bandwidth_mhz=bw, collect_trace=True)
+        for t_wifi, t_laa in ((1200, 3600), (5000, 5000), (2000, 40000),
+                              (50, 5000)):
+            yield config(seed=11, mode="dtm", bandwidth_mhz=bw,
+                         t_wifi_us=t_wifi, t_laa_us=t_laa, collect_trace=True)
+        yield config(seed=5, mode="dtm", bandwidth_mhz=bw, laa=laa_class4(),
+                     payload_bytes=15000, t_wifi_us=3000, t_laa_us=9000,
+                     collect_trace=True)
+        yield config(seed=5, mode="dtm", bandwidth_mhz=bw,
+                     t_wifi_us=3000, t_laa_us=0)
+
+
+def test_golden_digest():
+    digest = hashlib.sha256()
+    for cfg in golden_configs():
+        result = run_simulation(cfg)
+        digest.update(json.dumps(result.to_dict(), sort_keys=True).encode())
+        digest.update("\n".join(result.trace or ()).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
