@@ -26,7 +26,6 @@ from .sharing import (BestDmaResult, CapacityReport, ChannelAccessTime,
                       effective_channel_usage, laa_window_length,
                       wifi_window_bounds, windowed_capacity)
 from .sim import (SimConfig, SimCounts, SimResult, laa_window_airtime,
-                  next_cts_instant, run_dfm_simulation, run_dtm_simulation,
-                  run_simulation)
+                  next_cts_instant, run_simulation)
 
 __version__ = "0.1.0"

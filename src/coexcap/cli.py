@@ -164,6 +164,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if not 0.0 <= args.alpha <= 1.0:
+        raise ConfigError(f"--alpha must lie in [0, 1], got {args.alpha:g}")
     scenario = scenario_for(args.bandwidth[0], args.laa_class[0], args.payload)
     pick = best_dma(args.bandwidth[0], args.ratio[0], scenario, alpha=args.alpha)
     columns = ["approach", "c_w_mbps", "c_l_mbps", "aggregated_mbps",
@@ -242,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.payload <= 0:
+            raise ConfigError(f"--payload must be positive, got {args.payload}")
         return args.func(args)
     except CoexcapError as exc:
         print(f"error: {exc}", file=sys.stderr)

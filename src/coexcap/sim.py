@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .coex import LAA_EFFICIENCY
 from .errors import ConfigError
 from .params import (DEFAULT_RATE_TABLE, LaaClassProfile, WifiMacProfile,
                      laa_class1, max_mpdus_per_burst, padded_airtime_us)
@@ -36,28 +38,11 @@ def _ns(us: float) -> int:
     return round(us * _NS)
 
 
-# Event kinds in tie-break priority order: control traffic before data.
-_KIND_PRIORITY = {
-    "window-boundary": 0,
-    "cts-due": 1,
-    "nav-expiry": 2,
-    "beacon-due": 3,
-    "backoff-expiry": 4,
-    "tx-end": 5,
-    "ack-end": 6,
-    "laa-burst-end": 7,
-}
-
-
-@dataclass(frozen=True, order=True)
-class SimEvent:
-    """One scheduled occurrence; the queue orders by time, then kind priority."""
-
-    time_ns: int
-    priority: int
-    seq: int
-    kind: str = field(compare=False)
-    payload: tuple = field(compare=False, default=())
+# Event kinds, numbered in tie-break order: control traffic before data.
+# Events are (time_ns, kind, seq, payload) tuples; seq is unique, so the
+# queue orders by time, then kind, then push order.
+(WINDOW_BOUNDARY, CTS_DUE, NAV_EXPIRY, BEACON_DUE, BACKOFF_EXPIRY, TX_END,
+ ACK_END, LAA_BURST_END) = range(8)
 
 
 @dataclass(frozen=True)
@@ -75,7 +60,6 @@ class SimConfig:
     beacon_interval_us: float | None = None
     beacon_bytes: int = 300
     collect_trace: bool = False
-    inject_delayed_ack_us: float | None = None   # test hook: fakes an uplink overrun
 
     def __post_init__(self):
         if self.mode not in ("dfm", "dtm"):
@@ -84,6 +68,11 @@ class SimConfig:
             raise ConfigError("measure_us must be positive")
         if self.mode == "dtm" and (self.t_wifi_us is None or self.t_laa_us is None):
             raise ConfigError("dtm mode needs t_wifi_us and t_laa_us")
+        for name in ("t_wifi_us", "t_laa_us"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite non-negative "
+                                  f"window, got {value}")
         if self.payload_bytes is not None:
             object.__setattr__(self, "wifi",
                                replace(self.wifi, payload_bytes=self.payload_bytes))
@@ -161,7 +150,7 @@ def laa_window_airtime(t_laa_us: float, profile: LaaClassProfile,
     """Scheduled-side payload rate contributed by one window per period (Mbps)."""
     airtime_ns = sum(d for _, d in laa_burst_layout(
         t_laa_us, profile.txop_us(shared=True), profile.laa_slot_us))
-    return (13.0 / 14.0) * rate_mbps * (airtime_ns / _NS) / period_us
+    return LAA_EFFICIENCY * rate_mbps * (airtime_ns / _NS) / period_us
 
 
 class _Simulation:
@@ -183,7 +172,13 @@ class _Simulation:
         # beacons go out at the basic rate behind a non-HT preamble
         self.beacon_air_ns = _ns(20.0 + padded_airtime_us(config.beacon_bytes * 8,
                                                           w.basic_rate_mbps))
-        self._data_air_cache: dict[int, int] = {}
+        # indexed by MPDU count; non-decreasing, so _fit_mpdus can bisect
+        self.data_air_ns = [_ns(w.phy_header_us
+                                + padded_airtime_us(n * w.subframe_bytes * 8,
+                                                    self.rate))
+                            for n in range(self.n_full + 1)]
+        self.exchange_ns = [d + self.sifs_ns + self.ba_air_ns
+                            for d in self.data_air_ns]
 
         self.rng = np.random.Generator(np.random.Philox(key=[config.seed, 0]))
 
@@ -192,8 +187,13 @@ class _Simulation:
         self.windowed = config.mode == "dtm" and config.t_laa_us > 0
         self.t_wifi_ns = _ns(config.t_wifi_us) if config.t_wifi_us is not None else 0
         self.t_laa_ns = _ns(config.t_laa_us) if config.t_laa_us is not None else 0
+        # every scheduled window has the same length, hence the same layout
+        self.laa_bursts = laa_burst_layout(self.t_laa_ns / _NS,
+                                           config.laa.txop_us(shared=True),
+                                           config.laa.laa_slot_us)
+        self.cts_per_window = math.ceil(self.t_laa_ns / _ns(MAX_CTS_RESERVATION_US))
 
-        self.heap: list[SimEvent] = []
+        self.heap: list[tuple] = []
         self._seq = 0
         self.window_end = math.inf
         self.counter: int | None = None
@@ -204,38 +204,22 @@ class _Simulation:
         self.nav_total_ns = 0
         self.window_ns = 0
         self.tx = self.cts = self.beacons = self.overruns = 0
-        self.overrun_injected = config.inject_delayed_ack_us is None
         self.trace: list[str] = []
 
     # -- plumbing ----------------------------------------------------------
 
-    def _push(self, time_ns: int, kind: str, payload: tuple = ()):
+    def _push(self, time_ns: int, kind: int, payload: tuple = ()):
         self._seq += 1
-        heapq.heappush(self.heap, SimEvent(time_ns, _KIND_PRIORITY[kind],
-                                           self._seq, kind, payload))
+        heapq.heappush(self.heap, (time_ns, kind, self._seq, payload))
 
     def _log(self, t_ns: int, node: str, kind: str, dur_ns: int, outcome: str):
         if self.cfg.collect_trace:
             self.trace.append(f"{t_ns / _NS:.3f}\t{node}\t{kind}\t"
                               f"{dur_ns / _NS:.3f}\t{outcome}")
 
-    def _data_air_ns(self, n: int) -> int:
-        cached = self._data_air_cache.get(n)
-        if cached is None:
-            psdu_bits = n * self.wifi.subframe_bytes * 8
-            cached = _ns(self.wifi.phy_header_us
-                         + padded_airtime_us(psdu_bits, self.rate))
-            self._data_air_cache[n] = cached
-        return cached
-
-    def _exchange_ns(self, n: int) -> int:
-        return self._data_air_ns(n) + self.sifs_ns + self.ba_air_ns
-
     def _fit_mpdus(self, room_ns: float) -> int:
-        n = self.n_full
-        while n > 0 and self._exchange_ns(n) > room_ns:
-            n -= 1
-        return n
+        """Largest MPDU count whose exchange fits in room_ns, or 0."""
+        return bisect_right(self.exchange_ns, room_ns, 1) - 1
 
     # -- handlers ----------------------------------------------------------
 
@@ -247,14 +231,14 @@ class _Simulation:
             usable = max(0, int(self.window_end - t_ns - self.difs_ns) // self.slot_ns)
             self.counter -= min(self.counter, usable)
             return
-        self._push(ready, "backoff-expiry")
+        self._push(ready, BACKOFF_EXPIRY)
 
-    def _on_backoff_expiry(self, t_ns: int):
+    def _on_backoff_expiry(self, t_ns: int, payload: tuple):
         self.counter = None
         room = self.window_end - t_ns
         if self.beacon_pending:
             if self.beacon_air_ns <= room:
-                self._push(t_ns + self.beacon_air_ns, "tx-end", ("beacon",))
+                self._push(t_ns + self.beacon_air_ns, TX_END, ("beacon",))
             else:
                 self.counter = 0
             return
@@ -262,7 +246,7 @@ class _Simulation:
         if n == 0:
             self.counter = 0
             return
-        self._push(t_ns + self._data_air_ns(n), "tx-end", ("data", n))
+        self._push(t_ns + self.data_air_ns[n], TX_END, ("data", n))
 
     def _on_tx_end(self, t_ns: int, payload: tuple):
         if payload[0] == "beacon":
@@ -274,8 +258,8 @@ class _Simulation:
             self._start_access(t_ns)
             return
         n = payload[1]
-        self._log(t_ns - self._data_air_ns(n), "ap", "data", self._data_air_ns(n), "ok")
-        self._push(t_ns + self.sifs_ns + self.ba_air_ns, "ack-end", (n,))
+        self._log(t_ns - self.data_air_ns[n], "ap", "data", self.data_air_ns[n], "ok")
+        self._push(t_ns + self.sifs_ns + self.ba_air_ns, ACK_END, (n,))
 
     def _on_ack_end(self, t_ns: int, payload: tuple):
         n = payload[0]
@@ -286,48 +270,44 @@ class _Simulation:
         self._log(t_ns - self.ba_air_ns, "sta", "block-ack", self.ba_air_ns, "ok")
         self._start_access(t_ns)
 
-    def _on_beacon_due(self, t_ns: int):
+    def _on_beacon_due(self, t_ns: int, payload: tuple):
         self.beacon_pending = True
-        self._push(t_ns + _ns(self.cfg.beacon_interval_us), "beacon-due")
+        self._push(t_ns + _ns(self.cfg.beacon_interval_us), BEACON_DUE)
 
     def _begin_wifi_window(self, t_ns: int):
         self.window_end = t_ns + self.t_wifi_ns
         lo, hi = max(t_ns, self.m0), min(self.window_end, self.m1)
         self.window_ns += max(0, int(hi - lo))
-        self._push(int(self.window_end), "window-boundary")
+        self._push(int(self.window_end), WINDOW_BOUNDARY)
         self._start_access(t_ns)
 
-    def _on_window_boundary(self, t_ns: int):
-        if not self.overrun_injected:
-            self.busy_until = t_ns + _ns(self.cfg.inject_delayed_ack_us)
-            self.overrun_injected = True
+    def _on_window_boundary(self, t_ns: int, payload: tuple):
         cts_us, overrun = next_cts_instant(self.busy_until / _NS, t_ns / _NS,
                                            self.wifi.sifs_us)
         if overrun:
             self.overruns += 1
-        self._push(_ns(cts_us), "cts-due")
+        self._push(_ns(cts_us), CTS_DUE)
 
-    def _on_cts_due(self, t_ns: int):
+    def _on_cts_due(self, t_ns: int, payload: tuple):
         self._log(t_ns, "ap", "cts", self.cts_air_ns, "ok")
-        self.cts += math.ceil(self.t_laa_ns / _ns(MAX_CTS_RESERVATION_US))
+        self.cts += self.cts_per_window
         laa_start = t_ns + self.cts_air_ns
         self.nav_total_ns += self.t_laa_ns
-        for offset, dur in laa_burst_layout(self.t_laa_ns / _NS,
-                                            self.cfg.laa.txop_us(shared=True),
-                                            self.cfg.laa.laa_slot_us):
+        for offset, dur in self.laa_bursts:
             start = laa_start + offset
             # scheduled bursts are deterministic once reserved; account the
             # measured share now, the end event exists for the trace only
             lo, hi = max(start, self.m0), min(start + dur, self.m1)
             self.laa_airtime_ns += max(0, hi - lo)
-            self._push(start + dur, "laa-burst-end", (start, dur))
-        self._push(laa_start + self.t_laa_ns, "nav-expiry")
+            if self.cfg.collect_trace:
+                self._push(start + dur, LAA_BURST_END, (start, dur))
+        self._push(laa_start + self.t_laa_ns, NAV_EXPIRY)
 
     def _on_laa_burst_end(self, t_ns: int, payload: tuple):
         start, dur = payload
         self._log(start, "enb", "laa-burst", dur, "ok")
 
-    def _on_nav_expiry(self, t_ns: int):
+    def _on_nav_expiry(self, t_ns: int, payload: tuple):
         self._begin_wifi_window(t_ns)
 
     # -- top level ----------------------------------------------------------
@@ -342,7 +322,7 @@ class _Simulation:
 
     def run(self) -> SimResult:
         self._warmup_frames()
-        self._push(_ns(self.cfg.beacon_interval_us), "beacon-due")
+        self._push(_ns(self.cfg.beacon_interval_us), BEACON_DUE)
         if self.windowed:
             self._begin_wifi_window(self.m0)
         else:
@@ -350,30 +330,21 @@ class _Simulation:
             self.window_ns = self.m1 - self.m0
             self._start_access(self.m0)
 
-        handlers = {
-            "window-boundary": self._on_window_boundary,
-            "cts-due": self._on_cts_due,
-            "nav-expiry": self._on_nav_expiry,
-            "beacon-due": self._on_beacon_due,
-            "backoff-expiry": self._on_backoff_expiry,
-        }
+        # indexed by event kind, in the order of the kind constants
+        handlers = (self._on_window_boundary, self._on_cts_due,
+                    self._on_nav_expiry, self._on_beacon_due,
+                    self._on_backoff_expiry, self._on_tx_end,
+                    self._on_ack_end, self._on_laa_burst_end)
         while self.heap:
-            event = heapq.heappop(self.heap)
-            if event.time_ns > self.m1:
+            t_ns, kind, _, payload = heapq.heappop(self.heap)
+            if t_ns > self.m1:
                 break
-            if event.kind == "tx-end":
-                self._on_tx_end(event.time_ns, event.payload)
-            elif event.kind == "ack-end":
-                self._on_ack_end(event.time_ns, event.payload)
-            elif event.kind == "laa-burst-end":
-                self._on_laa_burst_end(event.time_ns, event.payload)
-            else:
-                handlers[event.kind](event.time_ns)
+            handlers[kind](t_ns, payload)
 
         measure_us = self.cfg.measure_us
         return SimResult(
             wifi_throughput_mbps=self.bits / measure_us,
-            laa_airtime_throughput_mbps=(13.0 / 14.0) * self.laa_rate
+            laa_airtime_throughput_mbps=LAA_EFFICIENCY * self.laa_rate
             * (self.laa_airtime_ns / _NS) / measure_us,
             counts=SimCounts(self.tx, self.cts, self.beacons, self.overruns),
             seed=self.cfg.seed,
@@ -384,19 +355,8 @@ class _Simulation:
         )
 
 
-def run_dfm_simulation(config: SimConfig) -> SimResult:
-    """Saturated downlink on an exclusively allocated bandwidth."""
-    if config.mode != "dfm":
-        raise ConfigError("config is not in dfm mode")
-    return _Simulation(config).run()
-
-
-def run_dtm_simulation(config: SimConfig) -> SimResult:
-    """Alternating Wi-Fi and scheduled windows with CTS-to-self handovers."""
-    if config.mode != "dtm":
-        raise ConfigError("config is not in dtm mode")
-    return _Simulation(config).run()
-
-
 def run_simulation(config: SimConfig) -> SimResult:
+    """Run one seeded simulation in the config's mode: saturated downlink on
+    an exclusively allocated bandwidth (DFM), or alternating Wi-Fi and
+    scheduled windows with CTS-to-self handovers (DTM)."""
     return _Simulation(config).run()

@@ -197,6 +197,30 @@ def test_simulate_missing_config(tmp_path, capsys):
     assert run_cli("simulate", str(tmp_path / "nope.ini")) == 1
 
 
+def test_simulate_rejects_negative_window(tmp_path, capsys):
+    bad = tmp_path / "negative.ini"
+    bad.write_text("[simulation]\nmode = dtm\nt_wifi_us = 5000\n"
+                   "t_laa_us = -5000\n")
+    assert run_cli("simulate", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("table", "6"), ("sweep",), ("optimize",)])
+@pytest.mark.parametrize("payload", ["0", "-1500"])
+def test_nonpositive_payload_rejected(capsys, argv, payload):
+    assert run_cli(*argv, "--payload", payload) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha", ["7", "-0.5", "nan"])
+def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
+    assert run_cli("optimize", "--alpha", alpha) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_optimize_reports_recommendation(tmp_path):
     out = tmp_path / "opt.csv"
     assert run_cli("optimize", "--bandwidth", "160", "--ratio", "0.5",

@@ -10,9 +10,8 @@ from coexcap.coex import capacity_no_coex
 from coexcap.errors import ConfigError
 from coexcap.params import laa_class4
 from coexcap.sharing import cts_downtime
-from coexcap.sim import (SimConfig, laa_burst_layout, laa_window_airtime,
-                         next_cts_instant, run_dfm_simulation,
-                         run_dtm_simulation, run_simulation)
+from coexcap.sim import (SimConfig, _Simulation, laa_burst_layout,
+                         laa_window_airtime, next_cts_instant, run_simulation)
 
 SHORT = 1_000_000.0   # 1 s measurement keeps unit tests quick
 
@@ -31,30 +30,26 @@ def dtm_config(**kw):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(mode="tdma")
-    with pytest.raises(ConfigError):
-        SimConfig(mode="dtm")   # windows missing
-    with pytest.raises(ConfigError):
-        SimConfig(measure_us=0.0)
+    for kw in (dict(mode="tdma"),
+               dict(mode="dtm"),                        # windows missing
+               dict(measure_us=0.0),
+               dict(mode="dtm", t_wifi_us=5000.0, t_laa_us=-1.0),
+               dict(mode="dtm", t_wifi_us=-1.0, t_laa_us=5000.0),
+               dict(mode="dtm", t_wifi_us=5000.0, t_laa_us=float("nan")),
+               dict(mode="dtm", t_wifi_us=float("inf"), t_laa_us=5000.0)):
+        with pytest.raises(ConfigError):
+            SimConfig(**kw)
 
 
 def test_determinism_bit_identical():
     cfg = dtm_config(collect_trace=True)
-    assert run_dtm_simulation(cfg) == run_dtm_simulation(cfg)
-    other = run_dtm_simulation(replace(cfg, seed=4))
-    assert other != run_dtm_simulation(cfg)
-
-
-def test_mode_dispatch_guards():
-    with pytest.raises(ConfigError):
-        run_dtm_simulation(dfm_config())
-    with pytest.raises(ConfigError):
-        run_dfm_simulation(dtm_config())
+    assert run_simulation(cfg) == run_simulation(cfg)
+    other = run_simulation(replace(cfg, seed=4))
+    assert other != run_simulation(cfg)
 
 
 def test_dfm_throughput_near_but_below_analytical():
-    result = run_dfm_simulation(dfm_config(measure_us=10_000_000.0))
+    result = run_simulation(dfm_config(measure_us=10_000_000.0))
     analytical = capacity_no_coex("wifi", make_scenario(80))
     assert result.wifi_throughput_mbps < analytical
     assert result.wifi_throughput_mbps == pytest.approx(analytical, rel=0.025)
@@ -65,30 +60,30 @@ def test_dfm_throughput_near_but_below_analytical():
 def test_beacon_free_run_approaches_analytical():
     # without beacon overhead the measurement converges on the analytical
     # capacity (the strict below-analytical ordering holds only with beacons)
-    result = run_dfm_simulation(dfm_config(measure_us=10_000_000.0,
-                                           beacon_interval_us=1e15))
+    result = run_simulation(dfm_config(measure_us=10_000_000.0,
+                                       beacon_interval_us=1e15))
     assert result.counts.beacons == 0
     analytical = capacity_no_coex("wifi", make_scenario(80))
     assert result.wifi_throughput_mbps == pytest.approx(analytical, rel=0.01)
 
 
 def test_dtm_zero_laa_window_matches_dfm():
-    dtm = run_dtm_simulation(dtm_config(t_laa_us=0.0))
-    dfm = run_dfm_simulation(dfm_config())
+    dtm = run_simulation(dtm_config(t_laa_us=0.0))
+    dfm = run_simulation(dfm_config())
     assert dtm.counts.cts_sent == 0
     assert dtm.wifi_throughput_mbps == pytest.approx(dfm.wifi_throughput_mbps,
                                                      rel=0.01)
 
 
 def test_dtm_tiny_wifi_window_starves_wifi():
-    result = run_dtm_simulation(dtm_config(t_wifi_us=50.0))
+    result = run_simulation(dtm_config(t_wifi_us=50.0))
     assert result.wifi_throughput_mbps == 0.0
     assert result.laa_airtime_throughput_mbps > 0.0
 
 
 def test_dtm_window_airtime_share():
     cfg = dtm_config(measure_us=10_000_000.0)
-    result = run_dtm_simulation(cfg)
+    result = run_simulation(cfg)
     expected = 5000.0 / (5000.0 + 5000.0 + cts_downtime(6.0))
     assert result.wifi_window_us / result.measure_us == pytest.approx(expected,
                                                                       rel=0.01)
@@ -96,22 +91,33 @@ def test_dtm_window_airtime_share():
 
 
 def test_nav_accounting():
-    result = run_dtm_simulation(dtm_config())
+    result = run_simulation(dtm_config())
     # every reservation silences exactly one scheduled window
     assert result.nav_total_us == pytest.approx(result.counts.cts_sent * 5000.0,
                                                 abs=result.counts.cts_sent * 9.0)
 
 
 def test_long_reservations_are_chained():
-    result = run_dtm_simulation(dtm_config(t_wifi_us=5000.0, t_laa_us=40_000.0))
+    result = run_simulation(dtm_config(t_wifi_us=5000.0, t_laa_us=40_000.0))
     cycles = result.nav_total_us / 40_000.0
     assert result.counts.cts_sent == pytest.approx(2 * cycles, abs=1e-9)
 
 
-def test_overrun_hook_counts_and_delays_cts():
-    plain = run_dtm_simulation(dtm_config(collect_trace=True))
-    bumped = run_dtm_simulation(dtm_config(collect_trace=True,
-                                           inject_delayed_ack_us=100.0))
+def test_overrun_hook_counts_and_delays_cts(monkeypatch):
+    plain = run_simulation(dtm_config(collect_trace=True))
+    on_window_boundary = _Simulation._on_window_boundary
+    boundaries = []
+
+    def delayed_first_ack(self, t_ns, payload):
+        # fake an uplink overrun: the first window's last exchange ends
+        # 100 us after the boundary
+        if not boundaries:
+            self.busy_until = t_ns + 100_000
+        boundaries.append(t_ns)
+        on_window_boundary(self, t_ns, payload)
+
+    monkeypatch.setattr(_Simulation, "_on_window_boundary", delayed_first_ack)
+    bumped = run_simulation(dtm_config(collect_trace=True))
     assert plain.counts.window_overruns == 0
     assert bumped.counts.window_overruns == 1
     assert bumped.counts.window_overruns <= bumped.counts.cts_sent
@@ -141,7 +147,7 @@ def test_laa_burst_layout_examples():
 
 def test_laa_window_airtime_matches_simulation():
     cfg = dtm_config(measure_us=10_000_000.0)
-    result = run_dtm_simulation(cfg)
+    result = run_simulation(cfg)
     period = 5000.0 + 5000.0 + cts_downtime(6.0)
     from coexcap.params import DEFAULT_RATE_TABLE
     expected = laa_window_airtime(5000.0, cfg.laa,
@@ -150,15 +156,15 @@ def test_laa_window_airtime_matches_simulation():
 
 
 def test_laa_airtime_scales_with_class(laa4):
-    slow = run_dtm_simulation(dtm_config(t_laa_us=15_000.0))
-    fast = run_dtm_simulation(dtm_config(t_laa_us=15_000.0, laa=laa4))
+    slow = run_simulation(dtm_config(t_laa_us=15_000.0))
+    fast = run_simulation(dtm_config(t_laa_us=15_000.0, laa=laa4))
     # class 4's 10 ms burst bound wastes fewer inter-burst slots
     assert fast.laa_airtime_throughput_mbps > slow.laa_airtime_throughput_mbps
 
 
 def test_trace_format_and_mutual_exclusion():
     cfg = dtm_config(collect_trace=True)
-    result = run_dtm_simulation(cfg)
+    result = run_simulation(cfg)
     assert result.trace
     wifi_frames = []
     laa_bursts = []
@@ -178,7 +184,7 @@ def test_trace_format_and_mutual_exclusion():
 
 def test_laa_bursts_confined_to_windows():
     cfg = dtm_config(collect_trace=True)
-    result = run_dtm_simulation(cfg)
+    result = run_simulation(cfg)
     cts_lines = [l for l in result.trace if "\tcts\t" in l]
     windows = []
     for line in cts_lines:
@@ -193,7 +199,7 @@ def test_laa_bursts_confined_to_windows():
 
 
 def test_result_serialization_round_trip():
-    result = run_dfm_simulation(dfm_config())
+    result = run_simulation(dfm_config())
     record = result.to_dict()
     assert record["seed"] == 3
     assert record["wifi_throughput_mbps"] == result.wifi_throughput_mbps
