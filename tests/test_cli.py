@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -236,3 +237,29 @@ def test_optimize_infeasible_dfm(tmp_path):
     text = out.read_text()
     assert text.startswith("# recommendation = dtm\n")
     assert "dfm,0,0,0,false,false" in text
+
+
+# sha256 over the CSV of every analytical command: tables 1/6/7/8, the full
+# sweep grid at two payloads, two optimizer calls and both curves; pins the
+# analytical outputs to the byte, so a refactor cannot drift within the
+# tolerances the other tests allow
+ANALYTICAL_DIGEST = "6b242f3faee7e3e96bff5ea55eb23d2d8118a1d7f0640b821d33277cc86e6449"
+
+ANALYTICAL_COMMANDS = (
+    [["table", t] for t in ("1", "6", "7", "8")]
+    + [["sweep", "--regimes", "coex", "dtm", "dfm", "nc", "--class", "1", "4",
+        "--bandwidth", "20", "40", "80", "160", "--payload", payload]
+       for payload in ("1500", "15000")]
+    + [["optimize", "--bandwidth", "40", "--ratio", "0.25"],
+       ["optimize", "--bandwidth", "160", "--ratio", "0.5"],
+       ["sweep", "--curve", "usage"],
+       ["sweep", "--curve", "dtm-window-efficiency"]])
+
+
+def test_analytical_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    out = tmp_path / "out.csv"
+    for argv in ANALYTICAL_COMMANDS:
+        assert run_cli(*argv, "--out", str(out)) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == ANALYTICAL_DIGEST
