@@ -18,7 +18,7 @@ import sys
 
 from . import tables
 from .errors import CoexcapError, ConfigError
-from .params import load_preset, profile_from_text
+from .params import PROFILE_SECTIONS, load_preset, section_kwargs
 from .sharing import best_dma
 from .sim import DEFAULT_SEED, SimConfig, run_simulation
 from .tables import SweepSpec, scenario_for
@@ -104,45 +104,38 @@ def cmd_sweep(args) -> int:
 
 def _sim_config_from_file(path: str, seed_override: int | None,
                           trace: bool) -> SimConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    try:
+        read = cp.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # parser messages span lines; the error report is one line
+        raise ConfigError(f"cannot parse config file {path!r}: "
+                          + " ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     if not cp.has_section("simulation"):
         raise ConfigError("config file needs a [simulation] section")
-    section = cp["simulation"]
-    kwargs = {
-        "mode": section.get("mode", "dfm"),
-        "bandwidth_mhz": section.getint("bandwidth_mhz", 80),
-        "payload_bytes": section.getint("payload_bytes", fallback=None),
-        "warmup_us": section.getfloat("warmup_us", 100_000.0),
-        "measure_us": section.getfloat("measure_us", 10_000_000.0),
-        "beacon_bytes": section.getint("beacon_bytes", 300),
-        "collect_trace": trace,
-    }
-    if section.get("beacon_interval_us") is not None:
-        kwargs["beacon_interval_us"] = section.getfloat("beacon_interval_us")
-    for key in ("t_wifi_us", "t_laa_us"):
-        if section.get(key) is not None:
-            kwargs[key] = section.getfloat(key)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    elif section.get("seed") is not None:
-        kwargs["seed"] = section.getint("seed")
-    else:
-        kwargs["seed"] = default_seed()
-    for section_name, kwarg in (("wifi", "wifi"), ("laa", "laa")):
-        if cp.has_section(section_name):
-            body = cp[section_name]
-            if body.get("preset"):
-                kwargs[kwarg] = load_preset(body["preset"])
-            else:
-                text = f"[{section_name}]\n" + "\n".join(
-                    f"{k} = {v}" for k, v in body.items())
-                kwargs[kwarg] = profile_from_text(text)
-        elif section.get(f"{section_name}_preset"):
-            kwargs[kwarg] = load_preset(section.get(f"{section_name}_preset"))
+    section = dict(cp.items("simulation"))
+    kwargs = {"collect_trace": trace}
     try:
+        # each side's profile comes from one source: a preset named in
+        # [simulation] or in its own section, or that section's fields
+        for side, cls in PROFILE_SECTIONS.items():
+            body = dict(cp.items(side)) if cp.has_section(side) else {}
+            sources = [p for p in (section.pop(f"{side}_preset", None),
+                                   body.pop("preset", None)) if p is not None]
+            if len(sources) + bool(body) > 1:
+                raise ConfigError(f"the {side} profile has more than one source; give "
+                                  f"one of {side}_preset, [{side}] preset or [{side}] fields")
+            if sources:
+                kwargs[side] = load_preset(sources[0])
+            elif body:
+                kwargs[side] = cls(**section_kwargs(cls, side, body.items()))
+        kwargs.update(section_kwargs(SimConfig, "simulation", section.items()))
+        if seed_override is not None:
+            kwargs["seed"] = seed_override
+        elif "seed" not in kwargs:
+            kwargs["seed"] = default_seed()
         return SimConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid simulation config: {exc}") from exc

@@ -10,13 +10,18 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 from .errors import ConfigError, UnsupportedBandwidthError
 
 AMPDU_HARD_LIMIT_MPDUS = 64      # block ACK window
 AMPDU_MAX_EXP = 7
 OFDM_SYMBOL_US = 4.0             # symbol duration used for pad alignment
+NON_HT_PREAMBLE_US = 20.0        # legacy training fields + L-SIG of basic-rate frames
+SIFS_US = 16.0
+LAA_SLOT_US = 500.0              # scheduled-side slot
 SERVICE_BITS = 16                # PLCP service field
 TAIL_BITS = 6
 
@@ -25,18 +30,25 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
 
+def _check_ranges(profile, positive):
+    """Every field finite and non-negative, the ``positive`` ones above zero."""
+    for f in fields(profile):
+        value = getattr(profile, f.name)
+        if not 0 <= value < math.inf or (value == 0 and f.name in positive):
+            kind = "positive" if f.name in positive else "non-negative"
+            raise ValueError(f"{f.name} must be finite and {kind}, got {value}")
+
+
 @dataclass(frozen=True)
 class WifiMacProfile:
     """802.11ac MAC/PHY parameters for a downlink A-MPDU transmitter.
 
-    Defaults are the standard VHT values used throughout the evaluation;
-    ``difs_us`` is derived from ``sifs_us + aifsn * slot_us`` when omitted.
+    Defaults are the standard VHT values used throughout the evaluation.
     """
 
     slot_us: float = 9.0
     aifsn: int = 2
-    sifs_us: float = 16.0
-    difs_us: float | None = None
+    sifs_us: float = SIFS_US
     cw_min: int = 16                 # window size; counters drawn from [0, CW-1]
     cw_max: int = 1024
     max_retries: int = 7
@@ -51,30 +63,27 @@ class WifiMacProfile:
     payload_bytes: int = 1500
     block_ack_bytes: int = 32
     ack_timeout_us: float = 50.0
-    beacon_interval_us: float = 102_400.0   # simulator only
     # Accounting refinements, disabled (0.0) in the published capacity model:
     # a separate preamble on the block-ACK leg and OFDM-symbol pad rounding.
     ba_phy_header_us: float = 0.0
     pad_symbol_us: float = 0.0
 
     def __post_init__(self):
-        if self.difs_us is None:
-            object.__setattr__(self, "difs_us", self.sifs_us + self.aifsn * self.slot_us)
-        if abs(self.difs_us - (self.sifs_us + self.aifsn * self.slot_us)) > 1e-9:
-            raise ValueError("difs_us must equal sifs_us + aifsn * slot_us")
+        _check_ranges(self, ("slot_us", "sifs_us", "basic_rate_mbps", "max_ppdu_us",
+                             "phy_header_us", "payload_bytes", "block_ack_bytes",
+                             "ack_timeout_us", "mac_header_bytes"))
         if not (_is_power_of_two(self.cw_min) and _is_power_of_two(self.cw_max)):
             raise ValueError("contention windows must be powers of two")
-        if self.cw_min > self.cw_max:
-            raise ValueError("cw_min must not exceed cw_max")
+        if not self.cw_min <= self.cw_max <= 1024:    # aCWmax = 1023 on OFDM PHYs
+            raise ValueError("need cw_min <= cw_max <= 1024")
         if not 0 <= self.ampdu_exp <= AMPDU_MAX_EXP:
             raise ValueError("ampdu_exp out of [0, 7]")
         if not 0 < self.max_mpdus <= AMPDU_HARD_LIMIT_MPDUS:
             raise ValueError("max_mpdus out of (0, 64]")
-        for name in ("slot_us", "sifs_us", "basic_rate_mbps", "max_ppdu_us",
-                     "phy_header_us", "payload_bytes", "block_ack_bytes",
-                     "ack_timeout_us", "mac_header_bytes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+
+    @property
+    def difs_us(self) -> float:
+        return self.sifs_us + self.aifsn * self.slot_us
 
     @property
     def mpdu_bytes(self) -> int:
@@ -100,31 +109,22 @@ class LaaClassProfile:
     txop_shared_us: float            # burst bound under exclusive operation
     slot_us: float = 9.0
     defer_base_us: float = 16.0      # T_f
-    defer_total_us: float | None = None
-    laa_slot_us: float = 500.0
-    gamma_us: float | None = None    # mean wait to the next slot boundary
-    per_carrier_rate_mbps: float | None = None
-    multichannel_cca: str = "type-a2"    # single CCA counter for all carriers
+    laa_slot_us: float = LAA_SLOT_US
 
     def __post_init__(self):
-        if self.defer_total_us is None:
-            object.__setattr__(
-                self, "defer_total_us",
-                self.defer_base_us + self.defer_slots * self.slot_us)
-        if abs(self.defer_total_us
-               - (self.defer_base_us + self.defer_slots * self.slot_us)) > 1e-9:
-            raise ValueError("defer_total_us must equal defer_base_us + defer_slots * slot_us")
-        if self.gamma_us is None:
-            object.__setattr__(self, "gamma_us", self.laa_slot_us / 2.0)
-        if abs(self.gamma_us - self.laa_slot_us / 2.0) > 1e-9:
-            raise ValueError("gamma_us must equal laa_slot_us / 2")
+        _check_ranges(self, ("laa_class", "cw_min", "txop_coex_us", "txop_shared_us",
+                             "slot_us", "laa_slot_us"))
         if self.cw_min > self.cw_max:
             raise ValueError("cw_min must not exceed cw_max")
-        if self.multichannel_cca not in ("type-a1", "type-a2", "type-b"):
-            raise ValueError("unknown multichannel CCA type")
-        if self.per_carrier_rate_mbps is None:
-            object.__setattr__(self, "per_carrier_rate_mbps",
-                               DEFAULT_RATE_TABLE.laa_slope_mbps())
+
+    @property
+    def defer_total_us(self) -> float:
+        return self.defer_base_us + self.defer_slots * self.slot_us
+
+    @property
+    def gamma_us(self) -> float:
+        """Mean wait to the next slot boundary."""
+        return self.laa_slot_us / 2.0
 
     def txop_us(self, shared: bool) -> float:
         """Burst bound for the operating regime (exclusive windows use the larger one)."""
@@ -263,54 +263,59 @@ def load_preset(name: str):
         raise ConfigError(f"unknown preset {name!r} (choose from {sorted(PRESETS)})") from None
 
 
-_SKIP_KEYS = {"multichannel_cca"}
-
-
 def profile_to_text(profile) -> str:
     """Serialize a profile to a ``key = value`` section ([wifi] or [laa])."""
     section = "wifi" if isinstance(profile, WifiMacProfile) else "laa"
     cp = configparser.ConfigParser()
-    cp[section] = {}
-    for f in profile.__dataclass_fields__:
-        value = getattr(profile, f)
-        cp[section][f] = str(value)
+    cp[section] = {f.name: str(getattr(profile, f.name)) for f in fields(profile)}
     out = io.StringIO()
     cp.write(out)
     return out.getvalue()
 
 
-def _coerce(field_type: str, raw: str):
-    raw = raw.strip()
-    if field_type == "int":
-        return int(raw)
-    if field_type == "float" or field_type.startswith("float"):
-        return float(raw)
-    return raw
+@cache
+def _converters(cls) -> dict:
+    """Parser per text-settable field of a config dataclass: its int, float
+    and str fields, optional or not (nested profiles and flags have none)."""
+    converters = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        kinds = [k for k in typing.get_args(hint) if k is not type(None)] or [hint]
+        if len(kinds) == 1 and kinds[0] in (int, float, str):
+            converters[name] = kinds[0]
+    return converters
+
+
+def section_kwargs(cls, section: str, items) -> dict:
+    """Constructor kwargs for ``cls`` from a section's ``(key, value)`` text
+    pairs, each value converted to its field's declared type."""
+    converters = _converters(cls)
+    kwargs = {}
+    for key, raw in items:
+        if key not in converters:
+            raise ConfigError(f"unknown {section} parameter {key!r}")
+        convert = converters[key]
+        try:
+            kwargs[key] = convert(raw.strip())
+        except ValueError:
+            raise ConfigError(f"{section} parameter {key!r} must be "
+                              f"{convert.__name__}, got {raw!r}") from None
+    return kwargs
+
+
+PROFILE_SECTIONS = {"wifi": WifiMacProfile, "laa": LaaClassProfile}
 
 
 def profile_from_text(text: str):
     """Parse a profile serialized by :func:`profile_to_text`."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad profile text: {exc}") from exc
-    if cp.has_section("wifi"):
-        cls, section = WifiMacProfile, "wifi"
-    elif cp.has_section("laa"):
-        cls, section = LaaClassProfile, "laa"
-    else:
-        raise ConfigError("expected a [wifi] or [laa] section")
-    kwargs = {}
-    for key, raw in cp[section].items():
-        if key not in cls.__dataclass_fields__:
-            raise ConfigError(f"unknown {section} parameter {key!r}")
-        if key in _SKIP_KEYS:
-            kwargs[key] = raw.strip()
-            continue
-        kwargs[key] = _coerce(cls.__dataclass_fields__[key].type, raw)
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section} profile: {exc}") from exc
-
+    for section, cls in PROFILE_SECTIONS.items():
+        if cp.has_section(section):
+            try:
+                return cls(**section_kwargs(cls, section, cp.items(section)))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid {section} profile: {exc}") from exc
+    raise ConfigError("expected a [wifi] or [laa] section")

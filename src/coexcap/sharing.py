@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 from .coex import CoexScenario, capacity_no_coex
 from .errors import InfeasiblePartitionError, InvalidWindowError
-from .params import (DEFAULT_RATE_TABLE, LaaClassProfile, WifiMacProfile,
-                     ampdu_limit_bytes, max_mpdus_per_burst)
+from .params import (DEFAULT_RATE_TABLE, LAA_SLOT_US, NON_HT_PREAMBLE_US, SIFS_US,
+                     LaaClassProfile, WifiMacProfile, ampdu_limit_bytes,
+                     max_mpdus_per_burst, padded_airtime_us)
 
 #: One CTS frame reserves at most this long (16-bit duration field, us).
 MAX_CTS_RESERVATION_US = 32_767.0
@@ -24,32 +25,22 @@ MAX_CTS_RESERVATION_US = 32_767.0
 PARTIAL_SUBFRAME_US = (0.0, 214.29, 428.57, 500.0, 642.86,
                        714.29, 785.71, 857.14, 1000.0)
 
-BITS_PER_SYMBOL_FACTOR = 4.0   # OFDM symbol time in us; rate * 4 = bits/symbol
-_CTS_PSDU_BITS = 16 + 112 + 6  # service + CTS frame + tail
+
+def cts_airtime(basic_rate_mbps: float = 6.0) -> float:
+    """Airtime of the 112-bit CTS frame at the basic rate behind a non-HT
+    preamble, padded to whole OFDM symbols (44 us at 6 Mbps)."""
+    if basic_rate_mbps <= 0:
+        raise ValueError("basic_rate_mbps must be positive")
+    return NON_HT_PREAMBLE_US + padded_airtime_us(112, basic_rate_mbps)
 
 
 def cts_downtime(basic_rate_mbps: float = 6.0) -> float:
-    """Channel downtime of one Wi-Fi-to-scheduled handover (SIFS + CTS airtime).
-
-    The CTS is sent at the basic rate with a non-HT preamble; its PSDU is
-    padded to whole OFDM symbols.  At 6 Mbps this is exactly 60 us.
-    """
-    if basic_rate_mbps <= 0:
-        raise ValueError("basic_rate_mbps must be positive")
-    sifs = 16.0
-    preamble = 10 * 0.8 + 2 * 4.0
-    header = 4.0
-    bits_per_symbol = basic_rate_mbps * BITS_PER_SYMBOL_FACTOR
-    psdu = math.ceil(_CTS_PSDU_BITS / bits_per_symbol) * 4.0
-    return sifs + preamble + header + psdu
+    """Channel downtime of one Wi-Fi-to-scheduled handover: SIFS + CTS
+    airtime, exactly 60 us at 6 Mbps."""
+    return SIFS_US + cts_airtime(basic_rate_mbps)
 
 
 DEFAULT_DOWNTIME_US = cts_downtime(6.0)   # 60 us
-
-
-def cts_airtime(basic_rate_mbps: float = 6.0) -> float:
-    """CTS frame airtime alone, without the SIFS wait (44 us at 6 Mbps)."""
-    return cts_downtime(basic_rate_mbps) - 16.0
 
 
 def effective_channel_usage(combined_window_us: float,
@@ -84,7 +75,7 @@ def wifi_window_bounds(profile: WifiMacProfile, t_wifi_us: float,
     return t_min, t_wifi_us + longest_tx + profile.sifs_us + t_block_ack
 
 
-def laa_window_length(gamma_prime_us: float = 250.0, n_slots: int = 0,
+def laa_window_length(gamma_prime_us: float = LAA_SLOT_US / 2.0, n_slots: int = 0,
                       partial_k_us: float = 0.0) -> float:
     """Length of a scheduled window: alignment wait + whole slots + partial subframe.
 
@@ -97,7 +88,7 @@ def laa_window_length(gamma_prime_us: float = 250.0, n_slots: int = 0,
     if not any(abs(partial_k_us - k) <= 0.01 for k in PARTIAL_SUBFRAME_US):
         raise InvalidWindowError(
             f"{partial_k_us} us is not an admissible partial-subframe duration")
-    return gamma_prime_us + n_slots * 500.0 + partial_k_us
+    return gamma_prime_us + n_slots * LAA_SLOT_US + partial_k_us
 
 
 @dataclass(frozen=True)

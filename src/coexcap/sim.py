@@ -25,8 +25,9 @@ import numpy as np
 
 from .coex import LAA_EFFICIENCY
 from .errors import ConfigError
-from .params import (DEFAULT_RATE_TABLE, LaaClassProfile, WifiMacProfile,
-                     laa_class1, max_mpdus_per_burst, padded_airtime_us)
+from .params import (DEFAULT_RATE_TABLE, LAA_SLOT_US, NON_HT_PREAMBLE_US,
+                     LaaClassProfile, WifiMacProfile, laa_class1,
+                     max_mpdus_per_burst, padded_airtime_us)
 from .sharing import MAX_CTS_RESERVATION_US, cts_airtime
 
 DEFAULT_SEED = 12345
@@ -57,28 +58,32 @@ class SimConfig:
     t_laa_us: float | None = None          # DTM only
     warmup_us: float = 100_000.0           # association + ARP, excluded
     measure_us: float = 10_000_000.0
-    beacon_interval_us: float | None = None
+    beacon_interval_us: float = 102_400.0
     beacon_bytes: int = 300
     collect_trace: bool = False
 
     def __post_init__(self):
         if self.mode not in ("dfm", "dtm"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.measure_us <= 0:
-            raise ConfigError("measure_us must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if self.beacon_bytes < 0:
+            raise ConfigError(f"beacon_bytes must be non-negative, got {self.beacon_bytes}")
         if self.mode == "dtm" and (self.t_wifi_us is None or self.t_laa_us is None):
             raise ConfigError("dtm mode needs t_wifi_us and t_laa_us")
-        for name in ("t_wifi_us", "t_laa_us"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be a finite non-negative "
-                                  f"window, got {value}")
+        # the event loop keeps whole-ns time and steps by the last three periods
+        for name, value, least_ns in (
+                ("t_wifi_us", self.t_wifi_us, 0), ("t_laa_us", self.t_laa_us, 0),
+                ("warmup_us", self.warmup_us, 0), ("measure_us", self.measure_us, 1),
+                ("beacon_interval_us", self.beacon_interval_us, 1),
+                ("wifi slot_us", self.wifi.slot_us, 1),
+                ("laa laa_slot_us", self.laa.laa_slot_us, 1)):
+            if value is not None and not (math.isfinite(value) and _ns(value) >= least_ns):
+                raise ConfigError(f"{name} must be a finite duration of at least "
+                                  f"{least_ns} ns, got {value}")
         if self.payload_bytes is not None:
             object.__setattr__(self, "wifi",
                                replace(self.wifi, payload_bytes=self.payload_bytes))
-        if self.beacon_interval_us is None:
-            object.__setattr__(self, "beacon_interval_us",
-                               self.wifi.beacon_interval_us)
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ class SimResult:
 
 
 def next_cts_instant(busy_until_us: float, window_end_us: float,
-                     sifs_us: float = 16.0) -> tuple[float, bool]:
+                     sifs_us: float) -> tuple[float, bool]:
     """When the AP may send the channel-reservation CTS, and whether the
     window overran.
 
@@ -127,7 +132,7 @@ def next_cts_instant(busy_until_us: float, window_end_us: float,
 
 
 def laa_burst_layout(t_laa_us: float, txop_us: float,
-                     laa_slot_us: float = 500.0) -> list[tuple[int, int]]:
+                     laa_slot_us: float = LAA_SLOT_US) -> list[tuple[int, int]]:
     """Deterministic packing of scheduled bursts into a window.
 
     Bursts are whole slots, at most one TXOP long, with one slot misused
@@ -170,8 +175,8 @@ class _Simulation:
         self.ba_air_ns = _ns(padded_airtime_us(w.block_ack_bytes * 8, w.basic_rate_mbps))
         self.cts_air_ns = _ns(cts_airtime(w.basic_rate_mbps))
         # beacons go out at the basic rate behind a non-HT preamble
-        self.beacon_air_ns = _ns(20.0 + padded_airtime_us(config.beacon_bytes * 8,
-                                                          w.basic_rate_mbps))
+        self.beacon_air_ns = _ns(NON_HT_PREAMBLE_US + padded_airtime_us(
+            config.beacon_bytes * 8, w.basic_rate_mbps))
         # indexed by MPDU count; non-decreasing, so _fit_mpdus can bisect
         self.data_air_ns = [_ns(w.phy_header_us
                                 + padded_airtime_us(n * w.subframe_bytes * 8,

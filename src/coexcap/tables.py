@@ -19,7 +19,6 @@ from .sim import DEFAULT_SEED, SimConfig, run_simulation
 
 WIFI_BANDWIDTHS = (20, 40, 80, 160)
 SHARING_RATIOS = (0.25, 0.50, 0.75)
-TABLE_IDS = (1, 6, 7, 8, 9, 10)
 
 _LAA_PROFILES = {1: laa_class1, 4: laa_class4}
 
@@ -131,21 +130,24 @@ def table10_rows(seed: int = DEFAULT_SEED, t_wifi_us: float = 5000.0,
     return columns, rows
 
 
+#: Builder per table id, each called with (seed, payload_bytes, measure_us).
+_TABLES = {
+    1: lambda seed, payload, measure: table1_rows(),
+    6: lambda seed, payload, measure: table6_rows(payload),
+    7: lambda seed, payload, measure: table7_rows(),
+    8: lambda seed, payload, measure: table8_rows(payload),
+    9: lambda seed, payload, measure: table9_rows(seed, payload, measure),
+    10: lambda seed, payload, measure: table10_rows(seed, payload_bytes=payload,
+                                                    measure_us=measure),
+}
+TABLE_IDS = tuple(_TABLES)
+
+
 def build_table(table_id: int, seed: int = DEFAULT_SEED, payload_bytes: int = 1500,
                 measure_us: float = 10_000_000.0):
-    if table_id == 1:
-        return table1_rows()
-    if table_id == 6:
-        return table6_rows(payload_bytes)
-    if table_id == 7:
-        return table7_rows()
-    if table_id == 8:
-        return table8_rows(payload_bytes)
-    if table_id == 9:
-        return table9_rows(seed, payload_bytes, measure_us)
-    if table_id == 10:
-        return table10_rows(seed, payload_bytes=payload_bytes, measure_us=measure_us)
-    raise ValueError(f"unsupported table id {table_id} (supported: {TABLE_IDS})")
+    if table_id not in _TABLES:
+        raise ValueError(f"unsupported table id {table_id} (supported: {TABLE_IDS})")
+    return _TABLES[table_id](seed, payload_bytes, measure_us)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import dataclasses
 import hashlib
 import json
+import signal
 
 import pytest
 
 from coexcap.cli import main
+from coexcap.params import laa_class1, wifi_default
 from coexcap.sim import DEFAULT_SEED
 
 SIM_CONFIG = """\
@@ -163,6 +166,14 @@ def test_sweep_rejects_bad_ratio(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_reads_inline_comments(tmp_path):
+    cfg = tmp_path / "commented.ini"
+    cfg.write_text("[simulation]\nmode = dfm            ; dfm | dtm\n"
+                   "measure_us = 20000     ; short\n\n"
+                   "[wifi]\npreset = table2-wifi  ; or explicit fields\n")
+    assert run_cli("simulate", str(cfg), "--out", str(tmp_path / "out.csv")) == 0
+
+
 def test_simulate_with_explicit_profile_fields(tmp_path):
     def run(name, wifi_section):
         cfg = tmp_path / f"{name}.ini"
@@ -205,6 +216,80 @@ def test_simulate_rejects_negative_window(tmp_path, capsys):
     assert run_cli("simulate", str(bad)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# A short DTM run: every [simulation] key and every profile field reaches
+# the event loop, and a malformed value in any of them costs milliseconds.
+FUZZ_SIMULATION = {"mode": "dtm", "bandwidth_mhz": "20", "t_wifi_us": "2000",
+                   "t_laa_us": "2000", "warmup_us": "1000", "measure_us": "20000"}
+SIMULATION_KEYS = ("mode", "bandwidth_mhz", "payload_bytes", "t_wifi_us", "t_laa_us",
+                   "seed", "warmup_us", "measure_us", "beacon_interval_us",
+                   "beacon_bytes", "wifi_preset", "laa_preset")
+FUZZ_PROFILES = {"wifi": wifi_default(), "laa": laa_class1()}
+
+
+def fuzz_config(section, key, value):
+    simulation = dict(FUZZ_SIMULATION)
+    text = ""
+    if section == "simulation":
+        simulation[key] = value
+    else:
+        profile = FUZZ_PROFILES[section]
+        body = {f.name: getattr(profile, f.name) for f in dataclasses.fields(profile)}
+        body[key] = value
+        text = f"\n[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+    return "[simulation]\n" + "".join(
+        f"{k} = {v}\n" for k, v in simulation.items()) + text
+
+
+@pytest.fixture
+def deadline():
+    """Turn a simulation that never ends into a test failure."""
+    def expire(signum, frame):
+        # pytest.fail raises past main's error handlers, which catch OSError
+        pytest.fail("simulate ran for more than 10 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("section,key", [("simulation", k) for k in SIMULATION_KEYS]
+                         + [(side, f.name) for side, profile in FUZZ_PROFILES.items()
+                            for f in dataclasses.fields(profile)])
+def test_simulate_never_crashes_on_config_value(tmp_path, capsys, deadline,
+                                                section, key, value):
+    cfg = tmp_path / "fuzz.ini"
+    cfg.write_text(fuzz_config(section, key, value))
+    status = run_cli("simulate", str(cfg), "--out", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    if status != 0:
+        assert status == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[simulation]\nwarp_factor = 9\n", "warp_factor"),
+    ("[simulation]\ncollect_trace = true\n", "collect_trace"),
+    ("[simulation]\n\n[wifi]\ndifs_us = 34\n", "difs_us"),
+    ("[simulation]\n\n[wifi]\nbeacon_interval_us = 102400\n", "beacon_interval_us"),
+    ("[simulation]\n\n[laa]\nmultichannel_cca = type-a2\n", "multichannel_cca"),
+    ("[simulation]\n\n[wifi]\npreset = table2-wifi\nslot_us = 9\n", "one of"),
+    ("[simulation]\nlaa_preset = laa-class4\n\n[laa]\npreset = laa-class1\n",
+     "one of"),
+    ("[simulation]\nmode\n", "cannot parse"),
+    ("[simulation]\nmeasure_us = 5%\n", "measure_us"),
+    ("[simulation]\nbeacon_interval_us = 0\n", "beacon_interval_us"),
+    ("[simulation]\nbeacon_interval_us = 0.0001\n", "beacon_interval_us"),
+])
+def test_simulate_rejects_config(tmp_path, capsys, deadline, text, named):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert run_cli("simulate", str(cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
 
 
 @pytest.mark.parametrize("argv", [("table", "6"), ("sweep",), ("optimize",)])

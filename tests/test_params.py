@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from coexcap.errors import ConfigError, UnsupportedBandwidthError
-from coexcap.params import (DEFAULT_RATE_TABLE, WifiMacProfile,
+from coexcap.params import (DEFAULT_RATE_TABLE, PRESETS, WifiMacProfile,
                             ampdu_limit_bytes, contention_window, laa_class1,
                             laa_class4, load_preset, max_mpdus_per_burst,
                             peak_phy_rate, profile_from_text, profile_to_text,
@@ -26,7 +28,8 @@ def test_laa_profile_defaults(laa1, laa4):
 
 
 def test_profile_validation_rejects_inconsistency():
-    with pytest.raises(ValueError):
+    # DIFS is derived from SIFS, AIFSN and the slot, so it cannot be set
+    with pytest.raises(TypeError):
         WifiMacProfile(difs_us=30.0)
     with pytest.raises(ValueError):
         WifiMacProfile(cw_min=17)
@@ -34,6 +37,14 @@ def test_profile_validation_rejects_inconsistency():
         WifiMacProfile(ampdu_exp=8)
     with pytest.raises(ValueError):
         WifiMacProfile(max_mpdus=65)
+    with pytest.raises(ValueError):
+        WifiMacProfile(cw_max=2048)
+    for bad in (0.0, -500.0, float("nan")):
+        with pytest.raises(ValueError):
+            replace(laa_class1(), laa_slot_us=bad)
+    for name in ("slot_us", "max_ppdu_us", "pad_symbol_us"):
+        with pytest.raises(ValueError):
+            replace(wifi_default(), **{name: float("inf")})
 
 
 def test_peak_phy_rate_table_values():
@@ -139,9 +150,10 @@ def test_presets_exist():
         load_preset("table99")
 
 
-def test_profile_text_round_trip(wifi, laa4):
-    assert profile_from_text(profile_to_text(wifi)) == wifi
-    assert profile_from_text(profile_to_text(laa4)) == laa4
+def test_profile_text_round_trip():
+    for name in PRESETS:
+        profile = load_preset(name)
+        assert profile_from_text(profile_to_text(profile)) == profile
 
 
 def test_profile_text_rejects_unknown_key():

@@ -36,7 +36,14 @@ def test_config_validation():
                dict(mode="dtm", t_wifi_us=5000.0, t_laa_us=-1.0),
                dict(mode="dtm", t_wifi_us=-1.0, t_laa_us=5000.0),
                dict(mode="dtm", t_wifi_us=5000.0, t_laa_us=float("nan")),
-               dict(mode="dtm", t_wifi_us=float("inf"), t_laa_us=5000.0)):
+               dict(mode="dtm", t_wifi_us=float("inf"), t_laa_us=5000.0),
+               dict(beacon_interval_us=0.0),
+               dict(beacon_interval_us=-102_400.0),
+               dict(beacon_interval_us=1e-4),           # rounds to 0 ns
+               dict(beacon_interval_us=float("inf")),
+               dict(warmup_us=float("nan")),
+               dict(measure_us=float("inf")),
+               dict(laa=replace(laa_class4(), laa_slot_us=1e-4))):
         with pytest.raises(ConfigError):
             SimConfig(**kw)
 
@@ -129,8 +136,8 @@ def test_overrun_hook_counts_and_delays_cts(monkeypatch):
 
 
 def test_next_cts_instant():
-    assert next_cts_instant(4_900.0, 5_000.0) == (5_016.0, False)
-    assert next_cts_instant(5_100.0, 5_000.0) == (5_116.0, True)
+    assert next_cts_instant(4_900.0, 5_000.0, 16.0) == (5_016.0, False)
+    assert next_cts_instant(5_100.0, 5_000.0, 16.0) == (5_116.0, True)
     # the CTS airtime itself is the downtime minus the SIFS wait
     assert cts_downtime(6.0) - 16.0 == 44.0
 
