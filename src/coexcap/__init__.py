@@ -18,14 +18,10 @@ from .errors import (CoexcapError, ConfigError, ConvergenceError,
                      UnsupportedBandwidthError)
 from .params import (LaaClassProfile, PhyRateTable, WifiMacProfile,
                      ampdu_limit_bytes, contention_window, laa_class1,
-                     laa_class4, load_preset, max_mpdus_per_burst,
-                     peak_phy_rate, wifi_default)
-from .sharing import (BestDmaResult, CapacityReport, ChannelAccessTime,
-                      DfmPartition, DtmSchedule, best_dma, cts_downtime,
-                      dfm_capacities, dfm_partition, dtm_capacities,
-                      effective_channel_usage, laa_window_length,
-                      wifi_window_bounds, windowed_capacity)
-from .sim import (SimConfig, SimCounts, SimResult, laa_window_airtime,
-                  next_cts_instant, run_simulation)
+                     laa_class4, load_preset, max_mpdus_per_burst, wifi_default)
+from .sharing import (BestDmaResult, CapacityReport, DfmPartition, DtmSchedule,
+                      best_dma, cts_downtime, dfm_capacities, dfm_partition,
+                      dtm_capacities, effective_channel_usage, windowed_capacity)
+from .sim import SimConfig, SimCounts, SimResult, run_simulation
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -79,6 +80,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not all(0.0 < w < math.inf for w in args.windows):
+        raise ConfigError("--windows must be finite and positive, got "
+                          + " ".join(f"{w:g}" for w in args.windows))
     if args.curve == "usage":
         columns, rows = tables.usage_curve_rows(args.windows)
     elif args.curve == "dtm-window-efficiency":
@@ -159,6 +163,8 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     if not 0.0 <= args.alpha <= 1.0:
         raise ConfigError(f"--alpha must lie in [0, 1], got {args.alpha:g}")
+    if not 0.0 < args.ratio[0] <= 1.0:
+        raise ConfigError(f"--ratio must lie in (0, 1], got {args.ratio[0]:g}")
     scenario = scenario_for(args.bandwidth[0], args.laa_class[0], args.payload)
     pick = best_dma(args.bandwidth[0], args.ratio[0], scenario, alpha=args.alpha)
     columns = ["approach", "c_w_mbps", "c_l_mbps", "aggregated_mbps",

@@ -103,8 +103,6 @@ class BurstDurations:
     tc_w: float
     ts_l: float
     tc_l: float
-    t_tail_pad_data: float = 0.0
-    t_tail_pad_ba: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -119,20 +117,10 @@ def _tail_pad_us(psdu_bits: float, rate_mbps: float, symbol_us: float) -> float:
     return params.padded_airtime_us(int(psdu_bits), rate_mbps, symbol_us) - raw
 
 
-def _resolve_n_mpdus(scenario: CoexScenario, n_mpdus: int | None,
-                     duration_cap_us: float | None) -> int:
-    n = scenario.mpdus_per_burst(duration_cap_us) if n_mpdus is None else n_mpdus
-    if n <= 0:
-        raise EmptyBurstError("no MPDU fits the active duration cap")
-    return n
-
-
-def wifi_success_duration(scenario: CoexScenario, n_mpdus: int | None = None,
-                          duration_cap_us: float | None = None) -> float:
+def wifi_success_duration(scenario: CoexScenario, n_mpdus: int) -> float:
     """Channel time of a successful Wi-Fi burst: defer, data PPDU, block-ACK exchange."""
     w = scenario.wifi
-    n = _resolve_n_mpdus(scenario, n_mpdus, duration_cap_us)
-    psdu_bits = n * w.subframe_bytes * 8
+    psdu_bits = n_mpdus * w.subframe_bytes * 8
     ba_bits = w.block_ack_bytes * 8
     return (w.difs_us + w.phy_header_us
             + psdu_bits / scenario.wifi_rate_mbps
@@ -142,12 +130,10 @@ def wifi_success_duration(scenario: CoexScenario, n_mpdus: int | None = None,
             + _tail_pad_us(ba_bits, w.basic_rate_mbps, w.pad_symbol_us))
 
 
-def wifi_collision_duration(scenario: CoexScenario, n_mpdus: int | None = None,
-                            duration_cap_us: float | None = None) -> float:
+def wifi_collision_duration(scenario: CoexScenario, n_mpdus: int) -> float:
     """Channel time of a collided Wi-Fi burst: the ACK never arrives."""
     w = scenario.wifi
-    n = _resolve_n_mpdus(scenario, n_mpdus, duration_cap_us)
-    psdu_bits = n * w.subframe_bytes * 8
+    psdu_bits = n_mpdus * w.subframe_bytes * 8
     return (w.difs_us + w.phy_header_us
             + psdu_bits / scenario.wifi_rate_mbps
             + _tail_pad_us(psdu_bits, scenario.wifi_rate_mbps, w.pad_symbol_us)
@@ -164,18 +150,13 @@ def laa_burst_duration(profile: LaaClassProfile, shared: bool = False,
 def burst_durations(scenario: CoexScenario, wifi_cap_us: float | None = None,
                     laa_txop_us: float | None = None,
                     shared: bool = False) -> BurstDurations:
-    w = scenario.wifi
-    n = _resolve_n_mpdus(scenario, None, wifi_cap_us)
-    psdu_bits = n * w.subframe_bytes * 8
+    n = scenario.mpdus_per_burst(wifi_cap_us)
+    if n <= 0:
+        raise EmptyBurstError("no MPDU fits the active duration cap")
     laa_dur = laa_burst_duration(scenario.laa, shared, laa_txop_us)
-    return BurstDurations(
-        ts_w=wifi_success_duration(scenario, n),
-        tc_w=wifi_collision_duration(scenario, n),
-        ts_l=laa_dur,
-        tc_l=laa_dur,
-        t_tail_pad_data=_tail_pad_us(psdu_bits, scenario.wifi_rate_mbps, w.pad_symbol_us),
-        t_tail_pad_ba=_tail_pad_us(w.block_ack_bytes * 8, w.basic_rate_mbps, w.pad_symbol_us),
-    )
+    return BurstDurations(ts_w=wifi_success_duration(scenario, n),
+                          tc_w=wifi_collision_duration(scenario, n),
+                          ts_l=laa_dur, tc_l=laa_dur)
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +218,30 @@ def _tau_pair(pc_w, pc_l, pb_w, pb_l, scenario):
     return tau_w, tau_l
 
 
-def solve_equilibrium(scenario: CoexScenario, tol: float = 1e-10,
-                      max_iterations: int = 10_000,
-                      damping: float = 0.5) -> Equilibrium:
+SOLVER_TOL = 1e-10
+SOLVER_MAX_ITERATIONS = 10_000
+SOLVER_DAMPING = 0.5
+
+
+def solve_equilibrium(scenario: CoexScenario) -> Equilibrium:
     """Damped Picard iteration on (tau_w, tau_l); deterministic for a scenario."""
     tau_w = 0.05 if scenario.n_w else 0.0
     tau_l = 0.05 if scenario.n_l else 0.0
     residual = math.inf
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, SOLVER_MAX_ITERATIONS + 1):
         pc_w, pc_l, pb_w, pb_l = coupling_step(tau_w, tau_l, scenario)
         new_w, new_l = _tau_pair(pc_w, pc_l, pb_w, pb_l, scenario)
         residual = max(abs(new_w - tau_w), abs(new_l - tau_l))
-        if residual <= tol:
+        if residual <= SOLVER_TOL:
             pc_w, pc_l, pb_w, pb_l = coupling_step(new_w, new_l, scenario)
             return Equilibrium(new_w, new_l, pc_w, pc_l, pb_w, pb_l,
                                residual, iteration)
-        tau_w += damping * (new_w - tau_w)
-        tau_l += damping * (new_l - tau_l)
+        tau_w += SOLVER_DAMPING * (new_w - tau_w)
+        tau_l += SOLVER_DAMPING * (new_l - tau_l)
     raise ConvergenceError(
-        f"no fixed point after {max_iterations} iterations (residual {residual:.3e})",
-        residual=residual, iterations=max_iterations)
+        f"no fixed point after {SOLVER_MAX_ITERATIONS} iterations "
+        f"(residual {residual:.3e})",
+        residual=residual, iterations=SOLVER_MAX_ITERATIONS)
 
 
 def event_probabilities(eq: Equilibrium, scenario: CoexScenario) -> EventProbs:
@@ -290,13 +275,12 @@ LAA_EFFICIENCY = 13.0 / 14.0   # control-overhead discount, applied as given
 
 def wifi_throughput(eq: Equilibrium, scenario: CoexScenario,
                     durations: BurstDurations | None = None,
-                    wifi_cap_us: float | None = None,
-                    shared: bool = False) -> float:
+                    wifi_cap_us: float | None = None) -> float:
     """Mean Wi-Fi payload bits per us of generalized slot (= Mbps)."""
     n = scenario.mpdus_per_burst(wifi_cap_us)
     if n == 0:
         return 0.0
-    dur = durations or burst_durations(scenario, wifi_cap_us, shared=shared)
+    dur = durations or burst_durations(scenario, wifi_cap_us)
     probs = event_probabilities(eq, scenario)
     t_cs = mean_slot_duration(probs, dur, scenario.wifi.slot_us)
     return probs.ps_w * n * scenario.payload_bytes * 8 / t_cs
@@ -339,15 +323,14 @@ def capacity_no_coex(rat: str, scenario: CoexScenario,
     Wi-Fi truncates by aggregating fewer MPDUs; LAA truncates its burst
     bound.  Returns 0 when nothing fits the cap.
     """
-    kind = rat.lower()
-    if kind in ("wifi", "w"):
+    if rat == "wifi":
         alone = replace(scenario, n_w=1, n_l=0)
         cap = alone.wifi.max_ppdu_us if tx_duration_cap_us is None else tx_duration_cap_us
         if alone.mpdus_per_burst(cap) == 0:
             return 0.0
         eq = solve_equilibrium(alone)
-        return wifi_throughput(eq, alone, wifi_cap_us=cap, shared=True)
-    if kind in ("laa", "l"):
+        return wifi_throughput(eq, alone, wifi_cap_us=cap)
+    if rat == "laa":
         alone = replace(scenario, n_w=0, n_l=1)
         txop = alone.laa.txop_us(shared=True)
         if tx_duration_cap_us is not None:

@@ -21,6 +21,7 @@ AMPDU_MAX_EXP = 7
 OFDM_SYMBOL_US = 4.0             # symbol duration used for pad alignment
 NON_HT_PREAMBLE_US = 20.0        # legacy training fields + L-SIG of basic-rate frames
 SIFS_US = 16.0
+BASIC_RATE_MBPS = 6.0            # control frames, beacons and block ACKs
 LAA_SLOT_US = 500.0              # scheduled-side slot
 SERVICE_BITS = 16                # PLCP service field
 TAIL_BITS = 6
@@ -52,7 +53,7 @@ class WifiMacProfile:
     cw_min: int = 16                 # window size; counters drawn from [0, CW-1]
     cw_max: int = 1024
     max_retries: int = 7
-    basic_rate_mbps: float = 6.0
+    basic_rate_mbps: float = BASIC_RATE_MBPS
     max_ppdu_us: float = 5484.0      # VHT PPDU duration bound
     ampdu_exp: int = 7
     max_mpdus: int = 64
@@ -163,17 +164,6 @@ class PhyRateTable:
 
 
 DEFAULT_RATE_TABLE = PhyRateTable()
-
-
-def peak_phy_rate(rat: str, bandwidth_mhz: int,
-                  table: PhyRateTable = DEFAULT_RATE_TABLE) -> float:
-    """Peak PHY rate in Mbps for ``rat`` ("wifi" or "laa") at the given width."""
-    kind = rat.lower()
-    if kind in ("wifi", "w"):
-        return table.wifi_rate(bandwidth_mhz)
-    if kind in ("laa", "l"):
-        return table.laa_rate(bandwidth_mhz)
-    raise ValueError(f"unknown RAT {rat!r}")
 
 
 def contention_window(profile, stage: int) -> int:

@@ -3,7 +3,7 @@
 Time multiplexing (DTM) silences Wi-Fi with a CTS-to-self while scheduled
 bursts use the whole channel; frequency multiplexing (DFM) splits the
 channel into standard-width subchannels.  This module prices both: the
-CTS downtime, window bounds, windowed capacities, partition capacities,
+CTS downtime, channel access times, windowed capacities, partition capacities,
 and the recommendation of the better approach for a configuration.
 """
 
@@ -14,19 +14,15 @@ from dataclasses import dataclass, field, replace
 
 from .coex import CoexScenario, capacity_no_coex
 from .errors import InfeasiblePartitionError, InvalidWindowError
-from .params import (DEFAULT_RATE_TABLE, LAA_SLOT_US, NON_HT_PREAMBLE_US, SIFS_US,
-                     LaaClassProfile, WifiMacProfile, ampdu_limit_bytes,
-                     max_mpdus_per_burst, padded_airtime_us)
+from .params import (BASIC_RATE_MBPS, DEFAULT_RATE_TABLE, NON_HT_PREAMBLE_US,
+                     SIFS_US, LaaClassProfile, WifiMacProfile, max_mpdus_per_burst,
+                     padded_airtime_us)
 
 #: One CTS frame reserves at most this long (16-bit duration field, us).
 MAX_CTS_RESERVATION_US = 32_767.0
 
-#: Admissible durations of a burst-terminating partial subframe (us).
-PARTIAL_SUBFRAME_US = (0.0, 214.29, 428.57, 500.0, 642.86,
-                       714.29, 785.71, 857.14, 1000.0)
 
-
-def cts_airtime(basic_rate_mbps: float = 6.0) -> float:
+def cts_airtime(basic_rate_mbps: float) -> float:
     """Airtime of the 112-bit CTS frame at the basic rate behind a non-HT
     preamble, padded to whole OFDM symbols (44 us at 6 Mbps)."""
     if basic_rate_mbps <= 0:
@@ -34,13 +30,13 @@ def cts_airtime(basic_rate_mbps: float = 6.0) -> float:
     return NON_HT_PREAMBLE_US + padded_airtime_us(112, basic_rate_mbps)
 
 
-def cts_downtime(basic_rate_mbps: float = 6.0) -> float:
+def cts_downtime(basic_rate_mbps: float) -> float:
     """Channel downtime of one Wi-Fi-to-scheduled handover: SIFS + CTS
     airtime, exactly 60 us at 6 Mbps."""
     return SIFS_US + cts_airtime(basic_rate_mbps)
 
 
-DEFAULT_DOWNTIME_US = cts_downtime(6.0)   # 60 us
+DEFAULT_DOWNTIME_US = cts_downtime(BASIC_RATE_MBPS)   # 60 us
 
 
 def effective_channel_usage(combined_window_us: float,
@@ -52,67 +48,20 @@ def effective_channel_usage(combined_window_us: float,
 
 
 # ---------------------------------------------------------------------------
-# window bounds and access times
+# access times
 # ---------------------------------------------------------------------------
 
-def wifi_window_bounds(profile: WifiMacProfile, t_wifi_us: float,
-                       data_rate_mbps: float,
-                       mpdu_length_bytes: int | None = None) -> tuple[float, float]:
-    """(min, max) effective length of a Wi-Fi transmission window.
-
-    The minimum guarantees one worst-case channel access; the maximum adds
-    the longest transmission that can start just before the window closes.
-    """
-    t_min = profile.difs_us + profile.cw_min * profile.slot_us
-    if t_wifi_us < t_min:
-        raise InvalidWindowError(
-            f"window {t_wifi_us} us is below the guaranteed-access minimum {t_min} us")
-    mpdu = profile.mpdu_bytes if mpdu_length_bytes is None else mpdu_length_bytes
-    burst_bytes = ampdu_limit_bytes(profile.ampdu_exp, mpdu)
-    longest_tx = min(profile.max_ppdu_us,
-                     profile.phy_header_us + burst_bytes * 8 / data_rate_mbps)
-    t_block_ack = profile.block_ack_bytes * 8 / profile.basic_rate_mbps
-    return t_min, t_wifi_us + longest_tx + profile.sifs_us + t_block_ack
+def wifi_access_time(profile: WifiMacProfile) -> float:
+    """Mean uncontended wait before a Wi-Fi burst: DIFS plus the mean
+    backoff countdown (us)."""
+    return profile.difs_us + profile.slot_us * (profile.cw_min - 1) / 2.0
 
 
-def laa_window_length(gamma_prime_us: float = LAA_SLOT_US / 2.0, n_slots: int = 0,
-                      partial_k_us: float = 0.0) -> float:
-    """Length of a scheduled window: alignment wait + whole slots + partial subframe.
-
-    The alignment wait defaults to its expectation, half a scheduled slot.
-    """
-    if n_slots < 0:
-        raise InvalidWindowError("slot count must be non-negative")
-    if gamma_prime_us < 0:
-        raise InvalidWindowError("alignment wait must be non-negative")
-    if not any(abs(partial_k_us - k) <= 0.01 for k in PARTIAL_SUBFRAME_US):
-        raise InvalidWindowError(
-            f"{partial_k_us} us is not an admissible partial-subframe duration")
-    return gamma_prime_us + n_slots * LAA_SLOT_US + partial_k_us
-
-
-@dataclass(frozen=True)
-class ChannelAccessTime:
-    """Mean uncontended wait before a transmitter occupies an idle medium."""
-
-    t_cax_us: float
-
-    def __post_init__(self):
-        if self.t_cax_us <= 0:
-            raise ValueError("access time must be positive")
-
-
-def wifi_access_time(profile: WifiMacProfile) -> ChannelAccessTime:
-    """DIFS plus the mean backoff countdown."""
-    return ChannelAccessTime(profile.difs_us
-                             + profile.slot_us * (profile.cw_min - 1) / 2.0)
-
-
-def laa_access_time(profile: LaaClassProfile) -> ChannelAccessTime:
-    """Defer, mean backoff, and the mean wait for the next slot boundary."""
-    return ChannelAccessTime(profile.defer_total_us
-                             + profile.slot_us * (profile.cw_min - 1) / 2.0
-                             + profile.gamma_us)
+def laa_access_time(profile: LaaClassProfile) -> float:
+    """Mean uncontended wait before a scheduled burst: defer, mean backoff,
+    and the mean wait for the next slot boundary (us)."""
+    return (profile.defer_total_us + profile.slot_us * (profile.cw_min - 1) / 2.0
+            + profile.gamma_us)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +98,12 @@ def windowed_capacity_from(window_us: float, txop_us: float, t_cax_us: float,
 
 def windowed_capacity(rat: str, window_us: float, scenario: CoexScenario) -> float:
     """Capacity of one RAT whose bursts must fit inside a recurring window."""
-    kind = rat.lower()
-    if kind in ("wifi", "w"):
+    if rat == "wifi":
         txop = _wifi_full_burst_ppdu_us(scenario)
-        t_cax = wifi_access_time(scenario.wifi).t_cax_us
-    elif kind in ("laa", "l"):
+        t_cax = wifi_access_time(scenario.wifi)
+    elif rat == "laa":
         txop = scenario.laa.txop_us(shared=True)
-        t_cax = laa_access_time(scenario.laa).t_cax_us
+        t_cax = laa_access_time(scenario.laa)
     else:
         raise ValueError(f"unknown RAT {rat!r}")
     return windowed_capacity_from(window_us, txop, t_cax,
@@ -168,11 +116,11 @@ class DtmSchedule:
 
     t_wifi_us: float
     t_laa_us: float
-    t_downtime_us: float = DEFAULT_DOWNTIME_US
 
     def __post_init__(self):
-        if self.t_wifi_us < 0 or self.t_laa_us < 0:
-            raise InvalidWindowError("window lengths must be non-negative")
+        if not (0 <= self.t_wifi_us < math.inf and 0 <= self.t_laa_us < math.inf):
+            raise InvalidWindowError("window lengths must be finite and non-negative, "
+                                     f"got {self.t_wifi_us} and {self.t_laa_us}")
         if self.t_wifi_us == 0 and self.t_laa_us == 0:
             raise InvalidWindowError("at least one window must be positive")
 
@@ -182,7 +130,7 @@ class DtmSchedule:
 
     @property
     def period_us(self) -> float:
-        return self.t_wifi_us + self.t_laa_us + self.t_downtime_us
+        return self.t_wifi_us + self.t_laa_us + DEFAULT_DOWNTIME_US
 
     @property
     def reservations(self) -> int:

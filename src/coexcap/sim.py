@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .params import (DEFAULT_RATE_TABLE, LAA_SLOT_US, NON_HT_PREAMBLE_US,
                      LaaClassProfile, WifiMacProfile, laa_class1,
                      max_mpdus_per_burst, padded_airtime_us)
-from .sharing import MAX_CTS_RESERVATION_US, cts_airtime
+from .sharing import DtmSchedule, cts_airtime
 
 DEFAULT_SEED = 12345
 
@@ -118,19 +118,6 @@ class SimResult:
                 "seed": self.seed}
 
 
-def next_cts_instant(busy_until_us: float, window_end_us: float,
-                     sifs_us: float) -> tuple[float, bool]:
-    """When the AP may send the channel-reservation CTS, and whether the
-    window overran.
-
-    The AP predicts acknowledgment completions and never preempts them, so
-    the CTS goes out one SIFS after the later of the window boundary and
-    the last in-flight exchange.
-    """
-    overrun = busy_until_us > window_end_us
-    return max(window_end_us, busy_until_us) + sifs_us, overrun
-
-
 def laa_burst_layout(t_laa_us: float, txop_us: float,
                      laa_slot_us: float = LAA_SLOT_US) -> list[tuple[int, int]]:
     """Deterministic packing of scheduled bursts into a window.
@@ -148,14 +135,6 @@ def laa_burst_layout(t_laa_us: float, txop_us: float,
         out.append((pos, burst))
         pos += burst + slot
     return out
-
-
-def laa_window_airtime(t_laa_us: float, profile: LaaClassProfile,
-                       rate_mbps: float, period_us: float) -> float:
-    """Scheduled-side payload rate contributed by one window per period (Mbps)."""
-    airtime_ns = sum(d for _, d in laa_burst_layout(
-        t_laa_us, profile.txop_us(shared=True), profile.laa_slot_us))
-    return LAA_EFFICIENCY * rate_mbps * (airtime_ns / _NS) / period_us
 
 
 class _Simulation:
@@ -193,10 +172,13 @@ class _Simulation:
         self.t_wifi_ns = _ns(config.t_wifi_us) if config.t_wifi_us is not None else 0
         self.t_laa_ns = _ns(config.t_laa_us) if config.t_laa_us is not None else 0
         # every scheduled window has the same length, hence the same layout
+        # and the same CTS count
         self.laa_bursts = laa_burst_layout(self.t_laa_ns / _NS,
                                            config.laa.txop_us(shared=True),
                                            config.laa.laa_slot_us)
-        self.cts_per_window = math.ceil(self.t_laa_ns / _ns(MAX_CTS_RESERVATION_US))
+        self.cts_per_window = (DtmSchedule(self.t_wifi_ns / _NS,
+                                           self.t_laa_ns / _NS).reservations
+                               if self.windowed else 0)
 
         self.heap: list[tuple] = []
         self._seq = 0
@@ -287,11 +269,12 @@ class _Simulation:
         self._start_access(t_ns)
 
     def _on_window_boundary(self, t_ns: int, payload: tuple):
-        cts_us, overrun = next_cts_instant(self.busy_until / _NS, t_ns / _NS,
-                                           self.wifi.sifs_us)
-        if overrun:
+        # the AP predicts acknowledgment completions and never preempts them:
+        # the CTS goes out one SIFS after the boundary or the last in-flight
+        # exchange, whichever is later
+        if self.busy_until > t_ns:
             self.overruns += 1
-        self._push(_ns(cts_us), CTS_DUE)
+        self._push(max(t_ns, self.busy_until) + self.sifs_ns, CTS_DUE)
 
     def _on_cts_due(self, t_ns: int, payload: tuple):
         self._log(t_ns, "ap", "cts", self.cts_air_ns, "ok")

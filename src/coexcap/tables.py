@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 from . import sharing
 from .coex import CoexScenario, capacity_no_coex, coexistence_throughputs
-from .errors import InfeasiblePartitionError
+from .errors import EmptyBurstError, InfeasiblePartitionError
 from .params import DEFAULT_RATE_TABLE, laa_class1, laa_class4, wifi_default
 from .sharing import (DtmSchedule, best_dma, dfm_capacities, dfm_partition,
                       dtm_capacities, effective_channel_usage, windowed_capacity)
@@ -240,11 +240,15 @@ def window_efficiency_rows(windows_us, bandwidth_mhz: int = 80,
     finish every pending burst.
     """
     columns = ["window_us", "rat", "laa_class", "efficiency"]
+    scen1 = scenario_for(bandwidth_mhz, 1, payload_bytes)
+    if scen1.mpdus_per_burst() == 0:
+        # the unconstrained Wi-Fi capacity, the denominator, would be zero
+        raise EmptyBurstError(f"no {payload_bytes} B MPDU fits a Wi-Fi burst "
+                              f"at {bandwidth_mhz} MHz")
     rows = []
     for window in windows_us:
         period = 2 * window + sharing.DEFAULT_DOWNTIME_US
         share = window / period
-        scen1 = scenario_for(bandwidth_mhz, 1, payload_bytes)
         windowed_w = windowed_capacity("wifi", window, scen1) * share
         ideal_w = capacity_no_coex("wifi", scen1) * share
         rows.append([window, "wifi", "", round(windowed_w / ideal_w, 6)])

@@ -230,7 +230,7 @@ def test_criterion_7_sharing_dominates_coexistence():
                 laa_access_time(scen.laa)))
     pack_defect = 0.0
     for rat, window, txop, access in windows:
-        packed = pack_window(window, txop, access.t_cax_us,
+        packed = pack_window(window, txop, access,
                              lambda cap, rat=rat: capacity_no_coex(rat, scen, cap))
         pack_defect = max(pack_defect,
                           abs(windowed_capacity(rat, window, scen) - packed) / packed)

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import signal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexcap.cli import main
 from coexcap.params import laa_class1, wifi_default
@@ -305,6 +308,64 @@ def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
     assert run_cli("optimize", "--alpha", alpha) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--t-wifi", "nan"),
+    ("sweep", "--t-wifi", "inf"),
+    ("sweep", "--curve", "dtm-window-efficiency", "--windows", "nan"),
+    ("sweep", "--curve", "dtm-window-efficiency", "--windows", "inf"),
+    ("sweep", "--curve", "dtm-window-efficiency", "--windows", "0"),
+    ("sweep", "--curve", "dtm-window-efficiency", "--windows", "-5"),
+    ("sweep", "--curve", "usage", "--windows", "nan"),
+    ("sweep", "--curve", "usage", "--windows", "inf"),
+    ("sweep", "--curve", "dtm-window-efficiency", "--payload", "1000000000000"),
+    ("optimize", "--ratio", "nan"),
+    ("optimize", "--ratio", "0"),
+], ids=" ".join)
+def test_numeric_flag_rejected(capsys, argv):
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# Every analytical command with the numeric flags it reads; table 9/10 and
+# simulate run simulations and are left to the INI fuzz above.
+FUZZ_COMMANDS = (
+    [(("table", t), ("--ratio", "--payload")) for t in ("1", "6", "7", "8")]
+    + [(("sweep",), ("--t-wifi", "--ratio", "--payload")),
+       (("sweep", "--curve", "usage"), ("--windows",)),
+       (("sweep", "--curve", "dtm-window-efficiency"), ("--windows", "--payload")),
+       (("optimize",), ("--ratio", "--alpha", "--payload"))])
+FUZZ_FLOATS = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e-9, 0.5,
+               1.0, 1e12)
+# --payload is an integer flag; argparse itself rejects the other values
+FUZZ_INTS = (-1, 0, 1, 10**12)
+
+
+@st.composite
+def cli_argv(draw):
+    command, flags = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = list(command)
+    for flag in flags:
+        values = FUZZ_INTS if flag == "--payload" else FUZZ_FLOATS
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            # the joined form keeps argparse from reading -inf as a flag
+            argv.append(f"{flag}={value!r}")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_cli_never_crashes_on_numeric_flag(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    if status != 0:
+        assert status == 1, argv
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 def test_optimize_reports_recommendation(tmp_path):

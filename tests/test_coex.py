@@ -23,12 +23,13 @@ from oracles import analytic_event_probs, chain_tau, contention_slots
 def test_wifi_success_duration_matches_term_sum(scenario_80):
     # explicit term-by-term recomputation at 80 MHz, 64 MPDUs of 1546 B
     expected = 34 + 40 + 64 * 1546 * 8 / 433.3 + 16 + 32 * 8 / 6
-    assert wifi_success_duration(scenario_80) == pytest.approx(expected, rel=1e-12)
+    assert wifi_success_duration(scenario_80, 64) == pytest.approx(expected, rel=1e-12)
 
 
 def test_wifi_collision_duration_relation(scenario_80):
-    ts = wifi_success_duration(scenario_80)
-    tc = wifi_collision_duration(scenario_80)
+    n = scenario_80.mpdus_per_burst()
+    ts = wifi_success_duration(scenario_80, n)
+    tc = wifi_collision_duration(scenario_80, n)
     ba_exchange = 16 + 32 * 8 / 6
     assert tc == pytest.approx(ts - ba_exchange + 50.0, rel=1e-12)
     assert tc <= ts
@@ -38,15 +39,15 @@ def test_payload_scales_only_psdu_term():
     base = make_scenario(80, payload_bytes=1500)
     doubled = make_scenario(80, payload_bytes=3000)
     n = base.mpdus_per_burst()
-    d_base = wifi_success_duration(base, n_mpdus=n)
-    d_big = wifi_success_duration(doubled, n_mpdus=n)
+    d_base = wifi_success_duration(base, n)
+    d_big = wifi_success_duration(doubled, n)
     extra = n * 1500 * 8 / 433.3
     assert d_big - d_base == pytest.approx(extra, rel=1e-9)
 
 
 def test_empty_burst_rejected(scenario_80):
     with pytest.raises(EmptyBurstError):
-        wifi_success_duration(scenario_80, duration_cap_us=1.0)
+        burst_durations(scenario_80, wifi_cap_us=1.0)
 
 
 def test_laa_burst_durations(laa1, laa4):
@@ -66,10 +67,9 @@ def test_padded_accounting_orders_durations():
     wifi = replace(make_scenario(80).wifi, pad_symbol_us=4.0, ba_phy_header_us=40.0)
     padded = replace(make_scenario(80), wifi=wifi)
     plain = make_scenario(80)
-    assert wifi_success_duration(padded) > wifi_success_duration(plain)
+    n = plain.mpdus_per_burst()
+    assert wifi_success_duration(padded, n) > wifi_success_duration(plain, n)
     dur = burst_durations(padded)
-    assert dur.t_tail_pad_data > 0
-    assert dur.t_tail_pad_ba > 0
     assert dur.tc_w <= dur.ts_w
 
 
@@ -258,8 +258,9 @@ def test_collision_duration_identity_with_matched_timeout():
     scen = make_scenario(80)
     ba_exchange = scen.wifi.sifs_us + scen.wifi.block_ack_bytes * 8 / 6.0
     matched = replace(scen, wifi=replace(scen.wifi, ack_timeout_us=ba_exchange))
-    assert wifi_collision_duration(matched) == pytest.approx(
-        wifi_success_duration(matched), rel=1e-12)
+    n = matched.mpdus_per_burst()
+    assert wifi_collision_duration(matched, n) == pytest.approx(
+        wifi_success_duration(matched, n), rel=1e-12)
 
 
 def test_laa_collision_recovery_active_for_long_bursts():
@@ -315,7 +316,7 @@ def test_coexistence_never_beats_isolation():
 def test_forced_zero_recovers_no_coex():
     scen = make_scenario(80, n_w=1, n_l=1)
     eq_alone = solve_equilibrium(replace(scen, n_w=1, n_l=0))
-    th = wifi_throughput(eq_alone, replace(scen, n_w=1, n_l=0), shared=True)
+    th = wifi_throughput(eq_alone, replace(scen, n_w=1, n_l=0))
     assert th == pytest.approx(capacity_no_coex("wifi", scen), rel=1e-12)
 
 

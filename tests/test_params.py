@@ -7,8 +7,7 @@ from coexcap.errors import ConfigError, UnsupportedBandwidthError
 from coexcap.params import (DEFAULT_RATE_TABLE, PRESETS, WifiMacProfile,
                             ampdu_limit_bytes, contention_window, laa_class1,
                             laa_class4, load_preset, max_mpdus_per_burst,
-                            peak_phy_rate, profile_from_text, profile_to_text,
-                            wifi_default)
+                            profile_from_text, profile_to_text, wifi_default)
 from oracles import scan_max_mpdus
 
 
@@ -48,34 +47,32 @@ def test_profile_validation_rejects_inconsistency():
 
 
 def test_peak_phy_rate_table_values():
-    assert peak_phy_rate("wifi", 80) == 433.3
-    assert peak_phy_rate("laa", 20) == 75.4
-    assert peak_phy_rate("wifi", 160) == 866.7
+    assert DEFAULT_RATE_TABLE.wifi_rate(80) == 433.3
+    assert DEFAULT_RATE_TABLE.laa_rate(20) == 75.4
+    assert DEFAULT_RATE_TABLE.wifi_rate(160) == 866.7
 
 
 def test_peak_phy_rate_laa_extrapolation():
     # least-squares per-carrier slope over the five table entries
     pts = [(bw // 20, r) for bw, r in DEFAULT_RATE_TABLE.laa_rates.items()]
     slope = sum(n * r for n, r in pts) / sum(n * n for n, _ in pts)
-    assert peak_phy_rate("laa", 120) == pytest.approx(6 * slope, rel=1e-12)
-    assert peak_phy_rate("laa", 120) == pytest.approx(452.3, abs=0.1)
+    assert DEFAULT_RATE_TABLE.laa_rate(120) == pytest.approx(6 * slope, rel=1e-12)
+    assert DEFAULT_RATE_TABLE.laa_rate(120) == pytest.approx(452.3, abs=0.1)
 
 
 def test_peak_phy_rate_errors():
     with pytest.raises(UnsupportedBandwidthError):
-        peak_phy_rate("wifi", 60)
+        DEFAULT_RATE_TABLE.wifi_rate(60)
     with pytest.raises(UnsupportedBandwidthError):
-        peak_phy_rate("laa", 30)
-    with pytest.raises(ValueError):
-        peak_phy_rate("zigbee", 20)
+        DEFAULT_RATE_TABLE.laa_rate(30)
 
 
 def test_rates_increase_with_bandwidth():
     wifi_bw = sorted(DEFAULT_RATE_TABLE.wifi_rates)
     for a, b in zip(wifi_bw, wifi_bw[1:]):
-        assert peak_phy_rate("wifi", a) < peak_phy_rate("wifi", b)
-    for n in range(1, 10):
-        assert peak_phy_rate("laa", 20 * n) < peak_phy_rate("laa", 20 * (n + 1))
+        assert DEFAULT_RATE_TABLE.wifi_rate(a) < DEFAULT_RATE_TABLE.wifi_rate(b)
+    for bw in range(20, 200, 20):
+        assert DEFAULT_RATE_TABLE.laa_rate(bw) < DEFAULT_RATE_TABLE.laa_rate(bw + 20)
 
 
 def test_laa_rates_near_linear():

@@ -8,8 +8,7 @@ from coexcap.errors import InfeasiblePartitionError, InvalidWindowError
 from coexcap.sharing import (DtmSchedule, best_dma, cts_airtime, cts_downtime,
                              dfm_capacities, dfm_partition, dtm_capacities,
                              effective_channel_usage, laa_access_time,
-                             laa_window_length, pick_best, wifi_access_time,
-                             wifi_window_bounds, windowed_capacity,
+                             pick_best, wifi_access_time, windowed_capacity,
                              windowed_capacity_from)
 from oracles import pack_window
 
@@ -49,41 +48,13 @@ def test_effective_usage_increasing_and_bounded(window):
 
 
 # ---------------------------------------------------------------------------
-# window bounds and lengths
+# access times
 # ---------------------------------------------------------------------------
 
-def test_wifi_window_bounds_minimum(wifi):
-    t_min, _ = wifi_window_bounds(wifi, 1000.0, 433.3)
-    assert t_min == 34.0 + 16 * 9.0
-    with pytest.raises(InvalidWindowError):
-        wifi_window_bounds(wifi, 100.0, 433.3)
-
-
-def test_wifi_window_bounds_min_arm_selection(wifi):
-    # at 433.3 Mbps the byte-limited airtime wins; at 86.7 the duration cap
-    _, t_max_fast = wifi_window_bounds(wifi, 1000.0, 433.3)
-    burst_air = 98_944 * 8 / 433.3
-    assert burst_air < 5484.0
-    assert t_max_fast == pytest.approx(1000.0 + 40.0 + burst_air + 16.0 + 256 / 6)
-    _, t_max_slow = wifi_window_bounds(wifi, 1000.0, 86.7)
-    assert 98_944 * 8 / 86.7 > 5484.0
-    assert t_max_slow == pytest.approx(1000.0 + 5484.0 + 16.0 + 256 / 6)
-
-
-def test_laa_window_length():
-    assert laa_window_length(250.0, 4, 500.0) == 2750.0
-    assert laa_window_length(n_slots=4, partial_k_us=500.0) == 2750.0
-    assert laa_window_length(0.0, 0, 0.0) == 0.0
-    with pytest.raises(InvalidWindowError):
-        laa_window_length(250.0, 4, 300.0)
-    with pytest.raises(InvalidWindowError):
-        laa_window_length(250.0, -1, 0.0)
-
-
 def test_access_times(wifi, laa1, laa4):
-    assert wifi_access_time(wifi).t_cax_us == 101.5
-    assert laa_access_time(laa1).t_cax_us == 288.5
-    assert laa_access_time(laa4).t_cax_us == 396.5
+    assert wifi_access_time(wifi) == 101.5
+    assert laa_access_time(laa1) == 288.5
+    assert laa_access_time(laa4) == 396.5
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +66,15 @@ def test_windowed_capacity_trivial_cases():
     assert windowed_capacity("wifi", 0.0, scen) == 0.0
     assert windowed_capacity("wifi", 50.0, scen) == 0.0   # below one access
     assert windowed_capacity("laa", 100.0, scen) == 0.0
+
+
+@pytest.mark.parametrize("rat", ["w", "l", "WiFi", "LAA", ""])
+def test_unknown_rat_rejected(rat):
+    scen = make_scenario(80)
+    with pytest.raises(ValueError):
+        windowed_capacity(rat, 5000.0, scen)
+    with pytest.raises(ValueError):
+        capacity_no_coex(rat, scen)
 
 
 def test_windowed_exact_multiple_has_no_tail():
@@ -152,6 +132,11 @@ def test_dtm_schedule_properties():
     assert DtmSchedule(5000.0, 40_000.0).reservations == 2
     with pytest.raises(InvalidWindowError):
         DtmSchedule(0.0, 0.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidWindowError):
+            DtmSchedule(bad, 5000.0)
+        with pytest.raises(InvalidWindowError):
+            DtmSchedule(5000.0, bad)
 
 
 def test_dtm_ratio_identity_exact():

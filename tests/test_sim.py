@@ -6,12 +6,11 @@ from functools import partial
 import pytest
 
 from conftest import make_scenario
-from coexcap.coex import capacity_no_coex
-from coexcap.errors import ConfigError
-from coexcap.params import laa_class4
+from coexcap.coex import LAA_EFFICIENCY, capacity_no_coex
+from coexcap.errors import ConfigError, InvalidWindowError
+from coexcap.params import DEFAULT_RATE_TABLE, laa_class4
 from coexcap.sharing import cts_downtime
-from coexcap.sim import (SimConfig, _Simulation, laa_burst_layout,
-                         laa_window_airtime, next_cts_instant, run_simulation)
+from coexcap.sim import SimConfig, _Simulation, laa_burst_layout, run_simulation
 
 SHORT = 1_000_000.0   # 1 s measurement keeps unit tests quick
 
@@ -88,6 +87,12 @@ def test_dtm_tiny_wifi_window_starves_wifi():
     assert result.laa_airtime_throughput_mbps > 0.0
 
 
+def test_windows_below_one_ns_rejected():
+    # both windows round to 0 ns, so no schedule exists to reserve
+    with pytest.raises(InvalidWindowError):
+        run_simulation(dtm_config(t_wifi_us=0.0, t_laa_us=1e-4))
+
+
 def test_dtm_window_airtime_share():
     cfg = dtm_config(measure_us=10_000_000.0)
     result = run_simulation(cfg)
@@ -135,13 +140,6 @@ def test_overrun_hook_counts_and_delays_cts(monkeypatch):
     assert t_bumped == pytest.approx(t_plain + 100.0, abs=1e-6)
 
 
-def test_next_cts_instant():
-    assert next_cts_instant(4_900.0, 5_000.0, 16.0) == (5_016.0, False)
-    assert next_cts_instant(5_100.0, 5_000.0, 16.0) == (5_116.0, True)
-    # the CTS airtime itself is the downtime minus the SIFS wait
-    assert cts_downtime(6.0) - 16.0 == 44.0
-
-
 def test_laa_burst_layout_examples():
     txop = 2000.0
     assert laa_burst_layout(400.0, txop) == []
@@ -156,9 +154,10 @@ def test_laa_window_airtime_matches_simulation():
     cfg = dtm_config(measure_us=10_000_000.0)
     result = run_simulation(cfg)
     period = 5000.0 + 5000.0 + cts_downtime(6.0)
-    from coexcap.params import DEFAULT_RATE_TABLE
-    expected = laa_window_airtime(5000.0, cfg.laa,
-                                  DEFAULT_RATE_TABLE.laa_rate(80), period)
+    airtime_ns = sum(d for _, d in laa_burst_layout(
+        5000.0, cfg.laa.txop_us(shared=True), cfg.laa.laa_slot_us))
+    expected = (LAA_EFFICIENCY * DEFAULT_RATE_TABLE.laa_rate(80)
+                * (airtime_ns / 1000) / period)
     assert result.laa_airtime_throughput_mbps == pytest.approx(expected, rel=0.01)
 
 
