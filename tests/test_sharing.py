@@ -1,15 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
 from coexcap.coex import capacity_no_coex, coexistence_throughputs
-from coexcap.errors import InfeasiblePartitionError, InvalidWindowError
-from coexcap.sharing import (DtmSchedule, best_dma, cts_airtime, cts_downtime,
-                             dfm_capacities, dfm_partition, dtm_capacities,
-                             effective_channel_usage, laa_access_time,
-                             pick_best, wifi_access_time, windowed_capacity,
-                             windowed_capacity_from)
+from coexcap.errors import CoexcapError, InfeasiblePartitionError, InvalidWindowError
+from coexcap.sharing import (DfmPartition, DtmSchedule, best_dma, cts_airtime,
+                             cts_downtime, dfm_capacities, dfm_partition,
+                             dtm_capacities, effective_channel_usage,
+                             laa_access_time, pick_best, wifi_access_time,
+                             windowed_capacity, windowed_capacity_from)
 from oracles import pack_window
 
 
@@ -281,3 +283,57 @@ def test_sharing_beats_coexistence_class1_grid():
             best_agg = max(pick.dtm.aggregated_mbps,
                            pick.dfm.aggregated_mbps if pick.dfm else 0.0)
             assert best_agg >= coex_agg - 1e-9, (bw, ratio)
+
+
+# ---------------------------------------------------------------------------
+# full-precision golden digest
+# ---------------------------------------------------------------------------
+
+# sha256 over the repr of every analytical capacity the CLI rounds away:
+# both no-coexistence capacities under a range of burst caps and payloads
+# (one too large for any MPDU to fit), coupled coexistence up to 3 x 3
+# stations with partial and full cross-RAT collisions, LAA-only frequency
+# partitions of 1 to 8 carriers, and best_dma on the 1500 B grid.  The CLI
+# digest rounds to 2 decimals; this one sees a change in the last bit.
+FULL_PRECISION_DIGEST = "2126a152f2f251461f98e4999aed8adeeade2accfd7ea3355762480a45f9bc87"
+
+NC_CAPS_US = (None, 0.0, 1.0, 300.0, 2500.0, 7500.0, 12_000.0)
+DIGEST_PAYLOADS = (1500, 15_000, 10**6)
+
+
+def full_precision_records():
+    for bw in (20, 40, 80, 160):
+        for cls in (1, 4):
+            for payload in DIGEST_PAYLOADS:
+                scen = make_scenario(bw, cls, payload)
+                for rat in ("wifi", "laa"):
+                    for cap in NC_CAPS_US:
+                        yield ("nc", bw, cls, payload, rat, cap,
+                               capacity_no_coex(rat, scen, cap))
+                for n_w in (1, 2, 3):
+                    for n_l in (1, 2, 3):
+                        for p_fc in (0.5, 1.0):
+                            key = ("coex", bw, cls, payload, n_w, n_l, p_fc)
+                            scen = make_scenario(bw, cls, payload, n_w, n_l, p_fc)
+                            try:
+                                yield key + coexistence_throughputs(scen)
+                            except CoexcapError as exc:
+                                yield key + (type(exc).__name__,)
+    for cls in (1, 4):
+        scen = make_scenario(80, cls)
+        for carriers in range(1, 9):
+            report = dfm_capacities(DfmPartition((), carriers), scen)
+            yield ("dfm", cls, carriers, report.to_dict())
+    for bw in (20, 40, 80, 160):
+        for ratio in (0.25, 0.5, 0.75):
+            for cls in (1, 4):
+                pick = best_dma(bw, ratio, make_scenario(bw, cls))
+                yield ("best_dma", bw, ratio, cls, pick.recommendation, pick.tie,
+                       pick.dtm.to_dict(), pick.dfm and pick.dfm.to_dict())
+
+
+def test_full_precision_digest():
+    digest = hashlib.sha256()
+    for record in full_precision_records():
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == FULL_PRECISION_DIGEST
