@@ -95,13 +95,10 @@ def cmd_sweep(args) -> int:
                              classes=tuple(args.laa_class),
                              payloads=(args.payload,),
                              regimes=tuple(args.regimes),
-                             t_wifi_us=args.t_wifi,
-                             output_format=args.format)
+                             t_wifi_us=args.t_wifi)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         columns, rows = tables.sweep_rows(spec)
-        _emit(columns, rows, spec.output_format, args.out)
-        return 0
     _emit(columns, rows, args.format, args.out)
     return 0
 
@@ -163,10 +160,10 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     if not 0.0 <= args.alpha <= 1.0:
         raise ConfigError(f"--alpha must lie in [0, 1], got {args.alpha:g}")
-    if not 0.0 < args.ratio[0] <= 1.0:
-        raise ConfigError(f"--ratio must lie in (0, 1], got {args.ratio[0]:g}")
-    scenario = scenario_for(args.bandwidth[0], args.laa_class[0], args.payload)
-    pick = best_dma(args.bandwidth[0], args.ratio[0], scenario, alpha=args.alpha)
+    if not 0.0 < args.ratio <= 1.0:
+        raise ConfigError(f"--ratio must lie in (0, 1], got {args.ratio:g}")
+    scenario = scenario_for(args.bandwidth, args.laa_class, args.payload)
+    pick = best_dma(args.bandwidth, args.ratio, scenario, alpha=args.alpha)
     columns = ["approach", "c_w_mbps", "c_l_mbps", "aggregated_mbps",
                "recommended", "feasible"]
     rows = [["dtm", round(pick.dtm.c_w_mbps, 2), round(pick.dtm.c_l_mbps, 2),
@@ -196,23 +193,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Capacity models and MAC simulation for unlicensed-channel sharing")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # each subcommand declares only the flags it reads
+    def add_output(p):
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--payload", type=int, default=1500)
-        p.add_argument("--bandwidth", type=int, nargs="+", default=[80])
-        p.add_argument("--ratio", type=float, nargs="+", default=[0.25, 0.5, 0.75])
-        p.add_argument("--class", dest="laa_class", type=int, nargs="+",
-                       choices=(1, 4), default=[1])
 
     p_table = sub.add_parser("table", help="emit one of the built-in result tables")
     p_table.add_argument("table_id", type=int, choices=tables.TABLE_IDS)
-    add_common(p_table)
+    add_output(p_table)
+    p_table.add_argument("--seed", type=int, default=None)
+    p_table.add_argument("--payload", type=int, default=1500)
     p_table.set_defaults(func=cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="capacity grid over the sharing design space")
-    add_common(p_sweep)
+    add_output(p_sweep)
+    p_sweep.add_argument("--payload", type=int, default=1500)
+    p_sweep.add_argument("--bandwidth", type=int, nargs="+", default=[80])
+    p_sweep.add_argument("--ratio", type=float, nargs="+", default=[0.25, 0.5, 0.75])
+    p_sweep.add_argument("--class", dest="laa_class", type=int, nargs="+",
+                         choices=(1, 4), default=[1])
     p_sweep.add_argument("--regimes", nargs="+", default=["coex", "dtm", "dfm"],
                          choices=("coex", "dtm", "dfm", "nc"))
     p_sweep.add_argument("--t-wifi", type=float, default=None,
@@ -226,13 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one seeded simulation from a config file")
     p_sim.add_argument("config", help="structured text config ([simulation] section)")
-    add_common(p_sim)
+    add_output(p_sim)
+    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--trace", default=None,
                        help="also write the frame trace to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_opt = sub.add_parser("optimize", help="recommend the better sharing approach")
-    add_common(p_opt)
+    add_output(p_opt)
+    p_opt.add_argument("--payload", type=int, default=1500)
+    p_opt.add_argument("--bandwidth", type=int, default=80)
+    p_opt.add_argument("--ratio", type=float, default=0.25)
+    p_opt.add_argument("--class", dest="laa_class", type=int, choices=(1, 4), default=1)
     p_opt.add_argument("--alpha", type=float, default=0.5)
     p_opt.set_defaults(func=cmd_optimize)
 
@@ -243,7 +247,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.payload <= 0:
+        if "payload" in args and args.payload <= 0:
             raise ConfigError(f"--payload must be positive, got {args.payload}")
         return args.func(args)
     except CoexcapError as exc:

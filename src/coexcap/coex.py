@@ -28,7 +28,6 @@ class CoexScenario:
     n_w: int = 1
     n_l: int = 1
     p_fc: float = 1.0          # 1.0 once bursts are long A-MPDUs
-    aifs_n: int = 2
     wifi_rate_mbps: float | None = None
     laa_rate_mbps: float | None = None
 
@@ -50,7 +49,7 @@ class CoexScenario:
 
     @property
     def cca_min(self) -> int:
-        return min(self.aifs_n, self.laa.defer_slots)
+        return min(self.wifi.aifsn, self.laa.defer_slots)
 
     def mpdus_per_burst(self, duration_cap_us: float | None = None) -> int:
         cap = self.wifi.max_ppdu_us if duration_cap_us is None else duration_cap_us
@@ -97,8 +96,11 @@ class EventProbs:
 
 @dataclass(frozen=True)
 class BurstDurations:
-    """Event durations in us; LAA collisions and successes last the same."""
+    """Event durations in us with the burst bounds they were priced from;
+    LAA collisions and successes last the same."""
 
+    n_mpdus: int               # MPDUs per Wi-Fi burst; 0 means no Wi-Fi burst
+    laa_txop_us: float
     ts_w: float
     tc_w: float
     ts_l: float
@@ -140,23 +142,15 @@ def wifi_collision_duration(scenario: CoexScenario, n_mpdus: int) -> float:
             + w.ack_timeout_us)
 
 
-def laa_burst_duration(profile: LaaClassProfile, shared: bool = False,
-                       txop_us: float | None = None) -> float:
-    """Slot-alignment wait plus the burst; identical for success and collision."""
-    txop = profile.txop_us(shared) if txop_us is None else txop_us
-    return profile.gamma_us + txop
-
-
-def burst_durations(scenario: CoexScenario, wifi_cap_us: float | None = None,
-                    laa_txop_us: float | None = None,
-                    shared: bool = False) -> BurstDurations:
-    n = scenario.mpdus_per_burst(wifi_cap_us)
-    if n <= 0:
-        raise EmptyBurstError("no MPDU fits the active duration cap")
-    laa_dur = laa_burst_duration(scenario.laa, shared, laa_txop_us)
-    return BurstDurations(ts_w=wifi_success_duration(scenario, n),
-                          tc_w=wifi_collision_duration(scenario, n),
-                          ts_l=laa_dur, tc_l=laa_dur)
+def burst_durations(scenario: CoexScenario, n_mpdus: int,
+                    laa_txop_us: float) -> BurstDurations:
+    """Durations of a Wi-Fi burst of ``n_mpdus`` MPDUs (0: no Wi-Fi burst,
+    zero-length legs) and of an LAA burst bounded by ``laa_txop_us``, which
+    adds the slot-alignment wait and lasts the same collided or not."""
+    ts_w = wifi_success_duration(scenario, n_mpdus) if n_mpdus else 0.0
+    tc_w = wifi_collision_duration(scenario, n_mpdus) if n_mpdus else 0.0
+    laa_dur = scenario.laa.gamma_us + laa_txop_us
+    return BurstDurations(n_mpdus, laa_txop_us, ts_w, tc_w, laa_dur, laa_dur)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +191,7 @@ def coupling_step(tau_w: float, tau_l: float, scenario: CoexScenario):
 
     pc_w = 1.0 - quiet_l_all * quiet_w_peers
     pc_l = 1.0 - ((1.0 - p_fc) + p_fc * quiet_w_all) * quiet_l_peers
-    exp_w = scenario.aifs_n - scenario.cca_min + 1
+    exp_w = scenario.wifi.aifsn - scenario.cca_min + 1
     exp_l = scenario.laa.defer_slots - scenario.cca_min + 1
     pb_w = 1.0 - (quiet_l_all * quiet_w_peers) ** exp_w
     pb_l = 1.0 - (quiet_w_all * quiet_l_peers) ** exp_l
@@ -273,47 +267,28 @@ def mean_slot_duration(probs: EventProbs, dur: BurstDurations, slot_us: float) -
 LAA_EFFICIENCY = 13.0 / 14.0   # control-overhead discount, applied as given
 
 
-def wifi_throughput(eq: Equilibrium, scenario: CoexScenario,
-                    durations: BurstDurations | None = None,
-                    wifi_cap_us: float | None = None) -> float:
-    """Mean Wi-Fi payload bits per us of generalized slot (= Mbps)."""
-    n = scenario.mpdus_per_burst(wifi_cap_us)
-    if n == 0:
-        return 0.0
-    dur = durations or burst_durations(scenario, wifi_cap_us)
+def throughputs(eq: Equilibrium, scenario: CoexScenario,
+                dur: BurstDurations) -> tuple[float, float]:
+    """(Th_w, Th_l): mean payload bits per us of generalized slot (= Mbps).
+
+    Whole trailing LAA slots survive a cross-RAT collision.
+    """
     probs = event_probabilities(eq, scenario)
     t_cs = mean_slot_duration(probs, dur, scenario.wifi.slot_us)
-    return probs.ps_w * n * scenario.payload_bytes * 8 / t_cs
-
-
-def laa_throughput(eq: Equilibrium, scenario: CoexScenario,
-                   durations: BurstDurations | None = None,
-                   laa_txop_us: float | None = None,
-                   shared: bool = False) -> float:
-    """Mean LAA payload rate; whole trailing slots survive a cross-RAT collision."""
-    txop = scenario.laa.txop_us(shared) if laa_txop_us is None else laa_txop_us
-    if txop <= 0:
-        return 0.0
-    try:
-        dur = durations or burst_durations(scenario, laa_txop_us=txop, shared=shared)
-    except EmptyBurstError:
-        # no Wi-Fi burst exists; only the LAA legs of the durations matter
-        laa_dur = laa_burst_duration(scenario.laa, shared, txop)
-        dur = BurstDurations(ts_w=0.0, tc_w=0.0, ts_l=laa_dur, tc_l=laa_dur)
-    probs = event_probabilities(eq, scenario)
-    t_cs = mean_slot_duration(probs, dur, scenario.wifi.slot_us)
+    th_w = probs.ps_w * dur.n_mpdus * scenario.payload_bytes * 8 / t_cs
     slot = scenario.laa.laa_slot_us
     surviving = math.floor(max(0.0, dur.tc_l - dur.tc_w) / slot) * slot
-    delivered = probs.ps_l * txop + probs.pc_wl * surviving
-    return LAA_EFFICIENCY * scenario.laa_rate_mbps * delivered / t_cs
+    delivered = probs.ps_l * dur.laa_txop_us + probs.pc_wl * surviving
+    return th_w, LAA_EFFICIENCY * scenario.laa_rate_mbps * delivered / t_cs
 
 
 def coexistence_throughputs(scenario: CoexScenario) -> tuple[float, float]:
     """(Th_w, Th_l) for direct coexistence on the shared channel."""
-    eq = solve_equilibrium(scenario)
-    dur = burst_durations(scenario, shared=False)
-    return (wifi_throughput(eq, scenario, dur),
-            laa_throughput(eq, scenario, dur))
+    n = scenario.mpdus_per_burst()
+    if n == 0:
+        raise EmptyBurstError("no MPDU fits a Wi-Fi burst")
+    dur = burst_durations(scenario, n, scenario.laa.txop_coex_us)
+    return throughputs(solve_equilibrium(scenario), scenario, dur)
 
 
 def capacity_no_coex(rat: str, scenario: CoexScenario,
@@ -325,18 +300,18 @@ def capacity_no_coex(rat: str, scenario: CoexScenario,
     """
     if rat == "wifi":
         alone = replace(scenario, n_w=1, n_l=0)
-        cap = alone.wifi.max_ppdu_us if tx_duration_cap_us is None else tx_duration_cap_us
-        if alone.mpdus_per_burst(cap) == 0:
+        n = alone.mpdus_per_burst(tx_duration_cap_us)
+        if n == 0:
             return 0.0
-        eq = solve_equilibrium(alone)
-        return wifi_throughput(eq, alone, wifi_cap_us=cap)
+        dur = burst_durations(alone, n, 0.0)
+        return throughputs(solve_equilibrium(alone), alone, dur)[0]
     if rat == "laa":
         alone = replace(scenario, n_w=0, n_l=1)
-        txop = alone.laa.txop_us(shared=True)
+        txop = alone.laa.txop_shared_us
         if tx_duration_cap_us is not None:
             txop = min(txop, tx_duration_cap_us)
         if txop <= 0:
             return 0.0
-        eq = solve_equilibrium(alone)
-        return laa_throughput(eq, alone, laa_txop_us=txop, shared=True)
+        dur = burst_durations(alone, 0, txop)
+        return throughputs(solve_equilibrium(alone), alone, dur)[1]
     raise ValueError(f"unknown RAT {rat!r}")

@@ -127,10 +127,6 @@ class LaaClassProfile:
         """Mean wait to the next slot boundary."""
         return self.laa_slot_us / 2.0
 
-    def txop_us(self, shared: bool) -> float:
-        """Burst bound for the operating regime (exclusive windows use the larger one)."""
-        return self.txop_shared_us if shared else self.txop_coex_us
-
 
 @dataclass(frozen=True)
 class PhyRateTable:

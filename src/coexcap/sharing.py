@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 from .coex import CoexScenario, capacity_no_coex
 from .errors import InfeasiblePartitionError, InvalidWindowError
 from .params import (BASIC_RATE_MBPS, DEFAULT_RATE_TABLE, NON_HT_PREAMBLE_US,
-                     SIFS_US, LaaClassProfile, WifiMacProfile, max_mpdus_per_burst,
-                     padded_airtime_us)
+                     SIFS_US, LaaClassProfile, WifiMacProfile, padded_airtime_us)
 
 #: One CTS frame reserves at most this long (16-bit duration field, us).
 MAX_CTS_RESERVATION_US = 32_767.0
@@ -39,12 +38,11 @@ def cts_downtime(basic_rate_mbps: float) -> float:
 DEFAULT_DOWNTIME_US = cts_downtime(BASIC_RATE_MBPS)   # 60 us
 
 
-def effective_channel_usage(combined_window_us: float,
-                            downtime_us: float = DEFAULT_DOWNTIME_US) -> float:
+def effective_channel_usage(combined_window_us: float) -> float:
     """Fraction of time the channel carries traffic under time multiplexing."""
     if combined_window_us <= 0:
         raise InvalidWindowError("combined window must be positive")
-    return combined_window_us / (combined_window_us + downtime_us)
+    return combined_window_us / (combined_window_us + DEFAULT_DOWNTIME_US)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +69,7 @@ def laa_access_time(profile: LaaClassProfile) -> float:
 def _wifi_full_burst_ppdu_us(scenario: CoexScenario) -> float:
     """Duration of the largest data PPDU the profile allows at the scenario rate."""
     w = scenario.wifi
-    n = max_mpdus_per_burst(w, scenario.wifi_rate_mbps, w.max_ppdu_us)
+    n = scenario.mpdus_per_burst()
     return w.phy_header_us + n * w.subframe_bytes * 8 / scenario.wifi_rate_mbps
 
 
@@ -102,7 +100,7 @@ def windowed_capacity(rat: str, window_us: float, scenario: CoexScenario) -> flo
         txop = _wifi_full_burst_ppdu_us(scenario)
         t_cax = wifi_access_time(scenario.wifi)
     elif rat == "laa":
-        txop = scenario.laa.txop_us(shared=True)
+        txop = scenario.laa.txop_shared_us
         t_cax = laa_access_time(scenario.laa)
     else:
         raise ValueError(f"unknown RAT {rat!r}")
@@ -249,13 +247,11 @@ def dfm_capacities(partition: DfmPartition, scenario: CoexScenario,
     c_w = 0.0
     for width in partition.wifi_subchannels:
         sub = replace(scenario, bandwidth_mhz=width,
-                      wifi_rate_mbps=DEFAULT_RATE_TABLE.wifi_rate(width),
-                      laa_rate_mbps=scenario.laa_rate_mbps)
+                      wifi_rate_mbps=DEFAULT_RATE_TABLE.wifi_rate(width))
         c_w += capacity_no_coex("wifi", sub)
     if partition.laa_carriers:
         laa_bw = partition.laa_bandwidth_mhz
         sub = replace(scenario, bandwidth_mhz=laa_bw,
-                      wifi_rate_mbps=scenario.wifi_rate_mbps,
                       laa_rate_mbps=DEFAULT_RATE_TABLE.laa_rate(laa_bw))
         c_l = capacity_no_coex("laa", sub)
     else:

@@ -174,7 +174,7 @@ class _Simulation:
         # every scheduled window has the same length, hence the same layout
         # and the same CTS count
         self.laa_bursts = laa_burst_layout(self.t_laa_ns / _NS,
-                                           config.laa.txop_us(shared=True),
+                                           config.laa.txop_shared_us,
                                            config.laa.laa_slot_us)
         self.cts_per_window = (DtmSchedule(self.t_wifi_ns / _NS,
                                            self.t_laa_ns / _NS).reservations

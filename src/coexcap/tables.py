@@ -7,6 +7,7 @@ reference values live in the test suite, not here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from . import sharing
@@ -165,7 +166,6 @@ class SweepSpec:
     regimes: tuple[str, ...] = ("coex", "dtm", "dfm", "nc")
     combined_window_us: float = 10_000.0
     t_wifi_us: float | None = None     # fixed Wi-Fi window instead of combined split
-    output_format: str = "csv"
 
     def __post_init__(self):
         if not (self.bandwidths and self.ratios and self.classes and self.payloads
@@ -176,8 +176,8 @@ class SweepSpec:
             raise ValueError(f"unknown regimes {sorted(bad)}")
         if any(not 0.0 < r <= 1.0 for r in self.ratios):
             raise ValueError("sharing ratios must be in (0, 1]")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output_format must be csv or json")
+        if self.t_wifi_us is not None and not 0.0 < self.t_wifi_us < math.inf:
+            raise ValueError(f"t_wifi_us must be finite and positive, got {self.t_wifi_us}")
 
 
 def sweep_rows(spec: SweepSpec):

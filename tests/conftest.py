@@ -1,6 +1,6 @@
 import pytest
 
-from coexcap.coex import CoexScenario
+from coexcap.coex import CoexScenario, burst_durations
 from coexcap.params import laa_class1, laa_class4, wifi_default
 
 
@@ -31,3 +31,9 @@ def make_scenario(bandwidth_mhz=80, laa_class=1, payload_bytes=1500,
     wifi = replace(wifi_default(), payload_bytes=payload_bytes)
     return CoexScenario(wifi=wifi, laa=laa, bandwidth_mhz=bandwidth_mhz,
                         n_w=n_w, n_l=n_l, p_fc=p_fc)
+
+
+def coex_durations(scenario):
+    """Event durations at the coexistence burst bounds."""
+    return burst_durations(scenario, scenario.mpdus_per_burst(),
+                           scenario.laa.txop_coex_us)

@@ -108,11 +108,11 @@ def contention_slots(scenario, eq, durations, n_slots=2_000_000, seed=0,
     laa = scenario.laa
     n_mpdus = scenario.mpdus_per_burst()
     burst_bits_w = n_mpdus * scenario.payload_bytes * 8
-    txop = laa.txop_us(shared=False)
+    txop = laa.txop_coex_us
     rate_factor = 13.0 / 14.0 * scenario.laa_rate_mbps
     slot_l = laa.laa_slot_us
     surviving = math.floor(max(0.0, durations.tc_l - durations.tc_w) / slot_l) * slot_l
-    exp_w = scenario.aifs_n - scenario.cca_min + 1
+    exp_w = wifi.aifsn - scenario.cca_min + 1
     exp_l = laa.defer_slots - scenario.cca_min + 1
 
     keys = ("p_idle", "ps_w", "ps_l", "pc_ww", "pc_ll", "pc_wl")

@@ -11,10 +11,9 @@ the only violation, pins its deficit, and checks both sides of the
 comparison at that cell against the independent oracles.
 """
 
-from conftest import make_scenario
-from coexcap.coex import (burst_durations, capacity_no_coex,
-                          coexistence_throughputs, event_probabilities,
-                          laa_throughput, solve_equilibrium, wifi_throughput)
+from conftest import coex_durations, make_scenario
+from coexcap.coex import (capacity_no_coex, coexistence_throughputs,
+                          event_probabilities, solve_equilibrium, throughputs)
 from coexcap.params import ampdu_limit_bytes, wifi_default
 from coexcap.sharing import (DtmSchedule, best_dma, cts_downtime,
                              dtm_capacities, effective_channel_usage,
@@ -213,7 +212,7 @@ def test_criterion_7_sharing_dominates_coexistence():
 
     # coexistence side: slot-level Monte Carlo, same seed rule as criterion 9
     eq = solve_equilibrium(scen)
-    dur = burst_durations(scen)
+    dur = coex_durations(scen)
     stats = contention_slots(scen, eq, dur, n_slots=2_000_000,
                              seed=hash((1, 1, cls, bw)) % 2 ** 31)
     model_w, model_l = coexistence_throughputs(scen)
@@ -226,7 +225,7 @@ def test_criterion_7_sharing_dominates_coexistence():
     wifi_txop = (scen.wifi.phy_header_us
                  + n_w * scen.wifi.subframe_bytes * 8 / scen.wifi_rate_mbps)
     windows = (("wifi", t_wifi, wifi_txop, wifi_access_time(scen.wifi)),
-               ("laa", 10_000.0 - t_wifi, scen.laa.txop_us(shared=True),
+               ("laa", 10_000.0 - t_wifi, scen.laa.txop_shared_us,
                 laa_access_time(scen.laa)))
     pack_defect = 0.0
     for rat, window, txop, access in windows:
@@ -286,14 +285,13 @@ def test_criterion_9_monte_carlo_equivalence():
                 for n_l in (1, 2):
                     scen = make_scenario(bw, cls, n_w=n_w, n_l=n_l)
                     eq = solve_equilibrium(scen)
-                    dur = burst_durations(scen)
+                    dur = coex_durations(scen)
                     slots = 10_000_000 if (n_w, n_l, cls, bw) == flagship \
                         else 2_000_000
                     seed = hash((n_w, n_l, cls, bw)) % 2 ** 31
                     stats = contention_slots(scen, eq, dur, n_slots=slots,
                                              seed=seed)
-                    th_w = wifi_throughput(eq, scen, dur)
-                    th_l = laa_throughput(eq, scen, dur)
+                    th_w, th_l = throughputs(eq, scen, dur)
                     if not stats["th_w"].within(th_w):
                         failures.append(f"th_w {scen.bandwidth_mhz}/{cls}/{n_w}x{n_l}")
                     if not stats["th_l"].within(th_l):

@@ -313,6 +313,7 @@ def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
 @pytest.mark.parametrize("argv", [
     ("sweep", "--t-wifi", "nan"),
     ("sweep", "--t-wifi", "inf"),
+    ("sweep", "--regimes", "coex", "--t-wifi", "nan"),
     ("sweep", "--curve", "dtm-window-efficiency", "--windows", "nan"),
     ("sweep", "--curve", "dtm-window-efficiency", "--windows", "inf"),
     ("sweep", "--curve", "dtm-window-efficiency", "--windows", "0"),
@@ -329,10 +330,33 @@ def test_numeric_flag_rejected(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ("table", "8", "--bandwidth", "60"),
+    ("table", "6", "--ratio", "0.5"),
+    ("table", "1", "--class", "4"),
+    ("simulate", "CONFIG", "--payload", "3000"),
+    ("simulate", "CONFIG", "--payload", "0"),
+    ("simulate", "CONFIG", "--bandwidth", "20"),
+    ("simulate", "CONFIG", "--ratio", "0.5"),
+    ("simulate", "CONFIG", "--class", "4"),
+    ("sweep", "--seed", "3"),
+    ("optimize", "--seed", "3"),
+    ("optimize", "--ratio", "0.25", "0.75"),
+    ("optimize", "--bandwidth", "40", "160"),
+    ("optimize", "--class", "1", "4"),
+], ids=" ".join)
+def test_unread_flag_rejected(capsys, sim_config_path, argv):
+    argv = [sim_config_path if a == "CONFIG" else a for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # Every analytical command with the numeric flags it reads; table 9/10 and
 # simulate run simulations and are left to the INI fuzz above.
 FUZZ_COMMANDS = (
-    [(("table", t), ("--ratio", "--payload")) for t in ("1", "6", "7", "8")]
+    [(("table", t), ("--payload",)) for t in ("1", "6", "7", "8")]
     + [(("sweep",), ("--t-wifi", "--ratio", "--payload")),
        (("sweep", "--curve", "usage"), ("--windows",)),
        (("sweep", "--curve", "dtm-window-efficiency"), ("--windows", "--payload")),

@@ -4,14 +4,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_scenario
+from conftest import coex_durations, make_scenario
 from coexcap.coex import (BurstDurations, backoff_root_probability,
                           burst_durations, capacity_no_coex,
                           coexistence_throughputs, coupling_step,
-                          event_probabilities, laa_burst_duration,
-                          mean_slot_duration, solve_equilibrium,
+                          event_probabilities, mean_slot_duration,
+                          solve_equilibrium, throughputs,
                           transmission_probability, wifi_collision_duration,
-                          wifi_success_duration, wifi_throughput, laa_throughput)
+                          wifi_success_duration)
 from coexcap.errors import DegenerateBlockingError, EmptyBurstError
 from oracles import analytic_event_probs, chain_tau, contention_slots
 
@@ -46,18 +46,20 @@ def test_payload_scales_only_psdu_term():
 
 
 def test_empty_burst_rejected(scenario_80):
+    capped = replace(scenario_80, wifi=replace(scenario_80.wifi, max_ppdu_us=1.0))
     with pytest.raises(EmptyBurstError):
-        burst_durations(scenario_80, wifi_cap_us=1.0)
+        coexistence_throughputs(capped)
 
 
 def test_laa_burst_durations(laa1, laa4):
-    assert laa_burst_duration(laa1) == 2250.0
-    assert laa_burst_duration(laa4, shared=False) == 8250.0
+    lone = burst_durations(make_scenario(80, 1), 0, laa1.txop_coex_us)
+    assert (lone.ts_w, lone.tc_w, lone.ts_l) == (0.0, 0.0, 2250.0)
+    assert burst_durations(make_scenario(80, 4), 0, laa4.txop_coex_us).ts_l == 8250.0
     assert laa1.gamma_us == 250.0
 
 
 def test_burst_durations_symmetry(scenario_80):
-    dur = burst_durations(scenario_80)
+    dur = coex_durations(scenario_80)
     assert dur.ts_l == dur.tc_l
     assert dur.tc_w <= dur.ts_w
 
@@ -69,7 +71,7 @@ def test_padded_accounting_orders_durations():
     plain = make_scenario(80)
     n = plain.mpdus_per_burst()
     assert wifi_success_duration(padded, n) > wifi_success_duration(plain, n)
-    dur = burst_durations(padded)
+    dur = coex_durations(padded)
     assert dur.tc_w <= dur.ts_w
 
 
@@ -206,7 +208,8 @@ def test_event_probs_partition_of_unity(tau_w, tau_l, n_w, n_l):
 
 
 def test_mean_slot_degenerate_weights():
-    dur = BurstDurations(ts_w=2000.0, tc_w=1950.0, ts_l=2250.0, tc_l=2250.0)
+    dur = BurstDurations(n_mpdus=64, laa_txop_us=2000.0,
+                         ts_w=2000.0, tc_w=1950.0, ts_l=2250.0, tc_l=2250.0)
     from coexcap.coex import EventProbs
     idle = EventProbs(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert mean_slot_duration(idle, dur, 9.0) == 9.0
@@ -218,7 +221,7 @@ def test_mean_slot_dot_product_oracle():
     scen = make_scenario(80, laa_class=4, n_w=2, n_l=2)
     eq = solve_equilibrium(scen)
     probs = event_probabilities(eq, scen)
-    dur = burst_durations(scen)
+    dur = coex_durations(scen)
     weights = [probs.ps_w, probs.ps_l, probs.pc_ww, probs.pc_ll, probs.pc_wl,
                probs.p_idle]
     values = [dur.ts_w, dur.ts_l, dur.tc_w, dur.tc_l, max(dur.tc_w, dur.tc_l), 9.0]
@@ -248,8 +251,7 @@ def test_throughput_zero_success():
     scen = make_scenario(80)
     eq = solve_equilibrium(scen)
     silent = replace(eq, tau_w=0.0, tau_l=0.0)
-    assert wifi_throughput(silent, scen) == 0.0
-    assert laa_throughput(silent, scen) == 0.0
+    assert throughputs(silent, scen, coex_durations(scen)) == (0.0, 0.0)
 
 
 def test_collision_duration_identity_with_matched_timeout():
@@ -266,7 +268,7 @@ def test_collision_duration_identity_with_matched_timeout():
 def test_laa_collision_recovery_active_for_long_bursts():
     # class-4 bursts outlast a collided Wi-Fi burst by whole scheduled slots
     scen = make_scenario(40, laa_class=4)
-    dur = burst_durations(scen)
+    dur = coex_durations(scen)
     slots = math.floor((dur.tc_l - dur.tc_w) / 500.0)
     assert slots >= 1
     eq = solve_equilibrium(scen)
@@ -274,17 +276,17 @@ def test_laa_collision_recovery_active_for_long_bursts():
     t_cs = mean_slot_duration(probs, dur, 9.0)
     expected = (13 / 14 * scen.laa_rate_mbps
                 * (probs.ps_l * 8000.0 + probs.pc_wl * slots * 500.0) / t_cs)
-    assert laa_throughput(eq, scen, dur) == pytest.approx(expected, rel=1e-12)
+    assert throughputs(eq, scen, dur)[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_laa_collision_recovery_vanishes_when_wifi_longer():
     # class 1 at 80 MHz: the Wi-Fi collision is shorter than the LAA burst
     # by less than one scheduled slot, so no slot survives
     scen = make_scenario(80, laa_class=1)
-    dur = burst_durations(scen)
+    dur = coex_durations(scen)
     assert dur.tc_l - dur.tc_w < 500.0
     eq = solve_equilibrium(scen)
-    th = laa_throughput(eq, scen, dur)
+    th = throughputs(eq, scen, dur)[1]
     probs = event_probabilities(eq, scen)
     t_cs = mean_slot_duration(probs, dur, 9.0)
     expected = 13 / 14 * scen.laa_rate_mbps * probs.ps_l * 2000.0 / t_cs
@@ -315,8 +317,8 @@ def test_coexistence_never_beats_isolation():
 
 def test_forced_zero_recovers_no_coex():
     scen = make_scenario(80, n_w=1, n_l=1)
-    eq_alone = solve_equilibrium(replace(scen, n_w=1, n_l=0))
-    th = wifi_throughput(eq_alone, replace(scen, n_w=1, n_l=0))
+    alone = replace(scen, n_w=1, n_l=0)
+    th = throughputs(solve_equilibrium(alone), alone, coex_durations(alone))[0]
     assert th == pytest.approx(capacity_no_coex("wifi", scen), rel=1e-12)
 
 
@@ -344,12 +346,13 @@ def test_chain_mc_matches_closed_form():
 def test_contention_mc_matches_model():
     scen = make_scenario(80, laa_class=1)
     eq = solve_equilibrium(scen)
-    dur = burst_durations(scen)
+    dur = coex_durations(scen)
     stats = contention_slots(scen, eq, dur, n_slots=400_000, seed=7)
     expected = analytic_event_probs(eq, scen)
     for key, target in expected.items():
         assert stats[key].within(target), (key, stats[key].value, target)
-    assert stats["th_w"].within(wifi_throughput(eq, scen, dur))
-    assert stats["th_l"].within(laa_throughput(eq, scen, dur))
+    th_w, th_l = throughputs(eq, scen, dur)
+    assert stats["th_w"].within(th_w)
+    assert stats["th_l"].within(th_l)
     assert stats["pc_w"].within(eq.pc_w)
     assert stats["pb_l"].within(eq.pb_l)

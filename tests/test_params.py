@@ -21,9 +21,9 @@ def test_laa_profile_defaults(laa1, laa4):
     assert laa1.defer_total_us == 25.0
     assert laa4.defer_total_us == 79.0
     assert laa1.gamma_us == 250.0
-    assert laa1.txop_us(shared=False) == 2000.0
-    assert laa4.txop_us(shared=False) == 8000.0
-    assert laa4.txop_us(shared=True) == 10_000.0
+    assert laa1.txop_coex_us == 2000.0
+    assert laa4.txop_coex_us == 8000.0
+    assert laa4.txop_shared_us == 10_000.0
 
 
 def test_profile_validation_rejects_inconsistency():

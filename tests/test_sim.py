@@ -155,7 +155,7 @@ def test_laa_window_airtime_matches_simulation():
     result = run_simulation(cfg)
     period = 5000.0 + 5000.0 + cts_downtime(6.0)
     airtime_ns = sum(d for _, d in laa_burst_layout(
-        5000.0, cfg.laa.txop_us(shared=True), cfg.laa.laa_slot_us))
+        5000.0, cfg.laa.txop_shared_us, cfg.laa.laa_slot_us))
     expected = (LAA_EFFICIENCY * DEFAULT_RATE_TABLE.laa_rate(80)
                 * (airtime_ns / 1000) / period)
     assert result.laa_airtime_throughput_mbps == pytest.approx(expected, rel=0.01)
