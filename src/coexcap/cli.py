@@ -79,13 +79,42 @@ def cmd_table(args) -> int:
     return 0
 
 
+#: Flags of ``sweep`` as {parser dest: (flag, default)}.  The sweep parser
+#: leaves a flag that is not given out of the parsed arguments, so each mode
+#: can reject the flags it does not read.
+SWEEP_FLAGS = {
+    "bandwidth": ("--bandwidth", [80]),
+    "ratio": ("--ratio", [0.25, 0.5, 0.75]),
+    "laa_class": ("--class", [1]),
+    "payload": ("--payload", 1500),
+    "regimes": ("--regimes", ["coex", "dtm", "dfm"]),
+    "t_wifi": ("--t-wifi", None),
+    "windows": ("--windows", [1000, 2000, 5940, 10000, 20000, 50000]),
+}
+#: The flags each mode reads: the grid (no --curve) or one curve.
+SWEEP_READS = {None: SWEEP_FLAGS.keys() - {"windows"},
+               "usage": {"windows"},
+               "dtm-window-efficiency": {"windows", "bandwidth", "payload"}}
+
+
 def cmd_sweep(args) -> int:
+    unread = sorted(SWEEP_FLAGS[dest][0]
+                    for dest in vars(args).keys() & SWEEP_FLAGS.keys()
+                    if dest not in SWEEP_READS[args.curve])
+    if unread:
+        mode = f"--curve {args.curve}" if args.curve else "without --curve"
+        raise ConfigError(f"sweep {mode} does not read {' '.join(unread)}")
+    for dest, (_, default) in SWEEP_FLAGS.items():
+        setattr(args, dest, getattr(args, dest, default))
     if not all(0.0 < w < math.inf for w in args.windows):
         raise ConfigError("--windows must be finite and positive, got "
                           + " ".join(f"{w:g}" for w in args.windows))
     if args.curve == "usage":
         columns, rows = tables.usage_curve_rows(args.windows)
     elif args.curve == "dtm-window-efficiency":
+        if len(args.bandwidth) > 1:
+            raise ConfigError(f"--curve {args.curve} prices one --bandwidth, got "
+                              + " ".join(map(str, args.bandwidth)))
         columns, rows = tables.window_efficiency_rows(
             args.windows, bandwidth_mhz=args.bandwidth[0], payload_bytes=args.payload)
     else:
@@ -205,21 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--payload", type=int, default=1500)
     p_table.set_defaults(func=cmd_table)
 
-    p_sweep = sub.add_parser("sweep", help="capacity grid over the sharing design space")
+    # the sweep flags take their defaults from SWEEP_FLAGS
+    p_sweep = sub.add_parser("sweep", help="capacity grid over the sharing design space",
+                             argument_default=argparse.SUPPRESS)
     add_output(p_sweep)
-    p_sweep.add_argument("--payload", type=int, default=1500)
-    p_sweep.add_argument("--bandwidth", type=int, nargs="+", default=[80])
-    p_sweep.add_argument("--ratio", type=float, nargs="+", default=[0.25, 0.5, 0.75])
-    p_sweep.add_argument("--class", dest="laa_class", type=int, nargs="+",
-                         choices=(1, 4), default=[1])
-    p_sweep.add_argument("--regimes", nargs="+", default=["coex", "dtm", "dfm"],
-                         choices=("coex", "dtm", "dfm", "nc"))
-    p_sweep.add_argument("--t-wifi", type=float, default=None,
+    p_sweep.add_argument("--payload", type=int)
+    p_sweep.add_argument("--bandwidth", type=int, nargs="+")
+    p_sweep.add_argument("--ratio", type=float, nargs="+")
+    p_sweep.add_argument("--class", dest="laa_class", type=int, nargs="+", choices=(1, 4))
+    p_sweep.add_argument("--regimes", nargs="+", choices=("coex", "dtm", "dfm", "nc"))
+    p_sweep.add_argument("--t-wifi", type=float,
                          help="fix the Wi-Fi window (us) instead of splitting 10 ms")
     p_sweep.add_argument("--curve", choices=("usage", "dtm-window-efficiency"),
                          default=None, help="emit a curve instead of the grid")
     p_sweep.add_argument("--windows", type=float, nargs="+",
-                         default=[1000, 2000, 5940, 10000, 20000, 50000],
                          help="window lengths (us) for curve mode")
     p_sweep.set_defaults(func=cmd_sweep)
 

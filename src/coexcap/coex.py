@@ -9,6 +9,7 @@ with the other technology zeroed out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -282,8 +283,20 @@ def throughputs(eq: Equilibrium, scenario: CoexScenario,
     return th_w, LAA_EFFICIENCY * scenario.laa_rate_mbps * delivered / t_cs
 
 
+#: Scenarios whose coexistence throughputs are kept.  A design sweep prices
+#: about 16 distinct coupled scenarios, each many times over; a stream of
+#: distinct scenarios gains nothing and keeps at most this many.
+COEXISTENCE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=COEXISTENCE_CACHE_SIZE)
 def coexistence_throughputs(scenario: CoexScenario) -> tuple[float, float]:
-    """(Th_w, Th_l) for direct coexistence on the shared channel."""
+    """(Th_w, Th_l) for direct coexistence on the shared channel.
+
+    Memoized per (frozen, hashable) scenario in a least-recently-used
+    cache of ``COEXISTENCE_CACHE_SIZE`` entries; ``cache_info()`` reports
+    its hits.  Errors are not cached.
+    """
     n = scenario.mpdus_per_burst()
     if n == 0:
         raise EmptyBurstError("no MPDU fits a Wi-Fi burst")
@@ -291,12 +304,24 @@ def coexistence_throughputs(scenario: CoexScenario) -> tuple[float, float]:
     return throughputs(solve_equilibrium(scenario), scenario, dur)
 
 
+def _lone_equilibrium(alone: CoexScenario) -> Equilibrium:
+    """The fixed point of one station with no contender, without iterating.
+
+    Alone, the station's collision and blocking probabilities do not depend
+    on the transmit rates (both are 0), so the first Picard proposal is the
+    fixed point, and ``solve_equilibrium`` returns that value bit for bit.
+    """
+    tau_w, tau_l = _tau_pair(*coupling_step(0.0, 0.0, alone), alone)
+    return Equilibrium(tau_w, tau_l, *coupling_step(tau_w, tau_l, alone), 0.0, 0)
+
+
 def capacity_no_coex(rat: str, scenario: CoexScenario,
                      tx_duration_cap_us: float | None = None) -> float:
     """Capacity of one RAT operating alone, bursts truncated to the cap.
 
     Wi-Fi truncates by aggregating fewer MPDUs; LAA truncates its burst
-    bound.  Returns 0 when nothing fits the cap.
+    bound.  Returns 0 when nothing fits the cap.  The lone station's
+    equilibrium is closed form (``_lone_equilibrium``), with no iteration.
     """
     if rat == "wifi":
         alone = replace(scenario, n_w=1, n_l=0)
@@ -304,7 +329,7 @@ def capacity_no_coex(rat: str, scenario: CoexScenario,
         if n == 0:
             return 0.0
         dur = burst_durations(alone, n, 0.0)
-        return throughputs(solve_equilibrium(alone), alone, dur)[0]
+        return throughputs(_lone_equilibrium(alone), alone, dur)[0]
     if rat == "laa":
         alone = replace(scenario, n_w=0, n_l=1)
         txop = alone.laa.txop_shared_us
@@ -313,5 +338,5 @@ def capacity_no_coex(rat: str, scenario: CoexScenario,
         if txop <= 0:
             return 0.0
         dur = burst_durations(alone, 0, txop)
-        return throughputs(solve_equilibrium(alone), alone, dur)[1]
+        return throughputs(_lone_equilibrium(alone), alone, dur)[1]
     raise ValueError(f"unknown RAT {rat!r}")

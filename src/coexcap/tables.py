@@ -26,9 +26,18 @@ _LAA_PROFILES = {1: laa_class1, 4: laa_class4}
 
 def scenario_for(bandwidth_mhz: int, laa_class: int = 1, payload_bytes: int = 1500,
                  n_w: int = 1, n_l: int = 1) -> CoexScenario:
+    """The scenario every table, sweep and recommendation prices.
+
+    Each of them prices the full-burst Wi-Fi capacity, so a payload too
+    large for one MPDU to fit a Wi-Fi burst raises ``EmptyBurstError``.
+    """
     wifi = replace(wifi_default(), payload_bytes=payload_bytes)
-    return CoexScenario(wifi=wifi, laa=_LAA_PROFILES[laa_class](),
-                        bandwidth_mhz=bandwidth_mhz, n_w=n_w, n_l=n_l)
+    scenario = CoexScenario(wifi=wifi, laa=_LAA_PROFILES[laa_class](),
+                            bandwidth_mhz=bandwidth_mhz, n_w=n_w, n_l=n_l)
+    if scenario.mpdus_per_burst() == 0:
+        raise EmptyBurstError(f"no {payload_bytes} B MPDU fits a Wi-Fi burst "
+                              f"at {bandwidth_mhz} MHz")
+    return scenario
 
 
 def table1_rows():
@@ -241,10 +250,6 @@ def window_efficiency_rows(windows_us, bandwidth_mhz: int = 80,
     """
     columns = ["window_us", "rat", "laa_class", "efficiency"]
     scen1 = scenario_for(bandwidth_mhz, 1, payload_bytes)
-    if scen1.mpdus_per_burst() == 0:
-        # the unconstrained Wi-Fi capacity, the denominator, would be zero
-        raise EmptyBurstError(f"no {payload_bytes} B MPDU fits a Wi-Fi burst "
-                              f"at {bandwidth_mhz} MHz")
     rows = []
     for window in windows_us:
         period = 2 * window + sharing.DEFAULT_DOWNTIME_US

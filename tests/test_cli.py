@@ -321,6 +321,21 @@ def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
     ("sweep", "--curve", "usage", "--windows", "nan"),
     ("sweep", "--curve", "usage", "--windows", "inf"),
     ("sweep", "--curve", "dtm-window-efficiency", "--payload", "1000000000000"),
+    # no MPDU fits a Wi-Fi burst: every command that prices one refuses
+    ("table", "6", "--payload", "1000000000000"),
+    ("table", "8", "--payload", "1000000000000"),
+    ("table", "9", "--payload", "1000000000000"),
+    ("table", "10", "--payload", "1000000000000"),
+    ("sweep", "--regimes", "nc", "dtm", "dfm", "--payload", "1000000000000"),
+    ("optimize", "--payload", "1000000000000"),
+    # a sweep mode refuses the flags it does not read
+    ("sweep", "--curve", "dtm-window-efficiency", "--windows", "5000",
+     "--bandwidth", "40", "20000", "--ratio", "7", "--regimes", "nc"),
+    ("sweep", "--curve", "usage", "--windows", "5940", "--payload", "3000",
+     "--class", "4", "--t-wifi", "nan"),
+    ("sweep", "--curve", "dtm-window-efficiency", "--bandwidth", "40", "20000"),
+    ("sweep", "--curve", "usage", "--bandwidth", "80"),
+    ("sweep", "--windows", "5000"),
     ("optimize", "--ratio", "nan"),
     ("optimize", "--ratio", "0"),
 ], ids=" ".join)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import coex_durations, make_scenario
-from coexcap.coex import (BurstDurations, backoff_root_probability,
+from coexcap.coex import (COEXISTENCE_CACHE_SIZE, BurstDurations,
+                          backoff_root_probability,
                           burst_durations, capacity_no_coex,
                           coexistence_throughputs, coupling_step,
                           event_probabilities, mean_slot_duration,
@@ -13,6 +14,7 @@ from coexcap.coex import (BurstDurations, backoff_root_probability,
                           transmission_probability, wifi_collision_duration,
                           wifi_success_duration)
 from coexcap.errors import DegenerateBlockingError, EmptyBurstError
+from coexcap.tables import SweepSpec, sweep_rows
 from oracles import analytic_event_probs, chain_tau, contention_slots
 
 
@@ -319,7 +321,62 @@ def test_forced_zero_recovers_no_coex():
     scen = make_scenario(80, n_w=1, n_l=1)
     alone = replace(scen, n_w=1, n_l=0)
     th = throughputs(solve_equilibrium(alone), alone, coex_durations(alone))[0]
-    assert th == pytest.approx(capacity_no_coex("wifi", scen), rel=1e-12)
+    assert th == capacity_no_coex("wifi", scen)
+
+
+@pytest.mark.parametrize("bw", (20, 40, 80, 160))
+@pytest.mark.parametrize("cls", (1, 4))
+@pytest.mark.parametrize("payload", (1500, 15_000, 10**6))
+def test_lone_closed_form_equals_solver(bw, cls, payload):
+    # capacity_no_coex skips the fixed-point iteration; the solver's
+    # capacity must come out bit for bit the same, under every burst cap
+    scen = make_scenario(bw, cls, payload)
+    for cap in (None, 300.0, 2500.0, 7500.0):
+        alone = replace(scen, n_w=1, n_l=0)
+        n = alone.mpdus_per_burst(cap)
+        expected = (throughputs(solve_equilibrium(alone), alone,
+                                burst_durations(alone, n, 0.0))[0] if n else 0.0)
+        assert capacity_no_coex("wifi", scen, cap) == expected, cap
+        alone = replace(scen, n_w=0, n_l=1)
+        txop = alone.laa.txop_shared_us if cap is None else min(alone.laa.txop_shared_us, cap)
+        expected = throughputs(solve_equilibrium(alone), alone,
+                               burst_durations(alone, 0, txop))[1]
+        assert capacity_no_coex("laa", scen, cap) == expected, cap
+
+
+# ---------------------------------------------------------------------------
+# memo of coexistence_throughputs
+# ---------------------------------------------------------------------------
+
+def test_repeated_sweep_hits_the_memo():
+    spec = SweepSpec(bandwidths=(40, 80), classes=(1, 4), regimes=("coex",))
+    hits = coexistence_throughputs.cache_info().hits
+    first = sweep_rows(spec)
+    assert sweep_rows(spec) == first
+    assert coexistence_throughputs.cache_info().hits > hits
+
+
+def test_memo_stays_bounded():
+    for i in range(200):
+        coexistence_throughputs(make_scenario(80, 1 + 3 * (i % 2), p_fc=0.5 + i / 1000))
+    info = coexistence_throughputs.cache_info()
+    assert info.maxsize == COEXISTENCE_CACHE_SIZE == 64
+    assert info.currsize <= info.maxsize
+
+
+def test_memo_returns_the_unmemoized_values():
+    for n_w, n_l in ((1, 1), (2, 3), (4, 1)):
+        for p_fc in (0.5, 1.0):
+            scen = make_scenario(40, 4, 15_000, n_w, n_l, p_fc)
+            assert coexistence_throughputs(scen) == coexistence_throughputs.__wrapped__(scen)
+            assert coexistence_throughputs(scen) == coexistence_throughputs.__wrapped__(scen)
+
+
+def test_memo_never_keeps_an_error():
+    scen = make_scenario(80, payload_bytes=10**6)
+    for _ in range(3):
+        with pytest.raises(EmptyBurstError):
+            coexistence_throughputs(scen)
 
 
 def test_equilibrium_serialization_layout():
