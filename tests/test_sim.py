@@ -8,7 +8,7 @@ import pytest
 from conftest import make_scenario
 from coexcap.coex import LAA_EFFICIENCY, capacity_no_coex
 from coexcap.errors import ConfigError, InvalidWindowError
-from coexcap.params import DEFAULT_RATE_TABLE, laa_class4
+from coexcap.params import DEFAULT_RATE_TABLE, WifiMacProfile, laa_class4
 from coexcap.sharing import cts_downtime
 from coexcap.sim import SimConfig, _Simulation, laa_burst_layout, run_simulation
 
@@ -239,3 +239,43 @@ def test_golden_digest():
         digest.update(json.dumps(result.to_dict(), sort_keys=True).encode())
         digest.update("\n".join(result.trace or ()).encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# sha256 over short traced runs that the golden configs miss: the extreme
+# contention windows, no warm-up, 50 us and empty windows, frequent
+# beacons, bursts of at most 3 MPDUs, and measurement ends spread 37.3 us
+# apart so that the end falls inside a data frame, inside its SIFS +
+# block-ACK and inside a backoff.  The last four runs end exactly at the
+# second exchange's backoff expiry, data end, ACK start and ACK end.
+EDGE_DIGEST = "b7f1cb0b39c5e2c6feac68173144f9d354dbe8d891311ceb0181e171dadf9e36"
+
+
+def edge_configs():
+    windows = ((None, None), (50, 5000), (5000, 50), (50, 50), (3000, 0))
+    for k in range(200):
+        t_wifi, t_laa = windows[k % 5]
+        yield SimConfig(seed=k, mode="dfm" if t_wifi is None else "dtm",
+                        bandwidth_mhz=(20, 40, 80, 160)[k // 50],
+                        wifi=WifiMacProfile(cw_min=(16, 1, 2, 1024)[k % 4],
+                                            max_mpdus=(64, 3)[k // 4 % 2]),
+                        t_wifi_us=t_wifi, t_laa_us=t_laa,
+                        warmup_us=(0.0, 100_000.0, 3000.0)[k % 3],
+                        beacon_interval_us=(102_400.0, 1000.0)[k % 7 == 0],
+                        measure_us=1000.0 + 37.3 * k, collect_trace=True)
+    # cw_min 1 draws no backoff, so the second exchange starts at a known time
+    lone = SimConfig(wifi=WifiMacProfile(cw_min=1), warmup_us=0.0, collect_trace=True)
+    sim = _Simulation(lone)
+    second = 2 * sim.difs_ns + sim.exchange_ns[sim.n_full]
+    for offset in (0, sim.data_air_ns[sim.n_full],
+                   sim.exchange_ns[sim.n_full] - sim.ba_air_ns,
+                   sim.exchange_ns[sim.n_full]):
+        yield replace(lone, measure_us=(second + offset) / 1000)
+
+
+def test_edge_digest():
+    digest = hashlib.sha256()
+    for cfg in edge_configs():
+        result = run_simulation(cfg)
+        digest.update(json.dumps(result.to_dict(), sort_keys=True).encode())
+        digest.update("\n".join(result.trace).encode())
+    assert digest.hexdigest() == EDGE_DIGEST
