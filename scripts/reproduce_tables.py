@@ -10,6 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from coexcap.cli import TABLE_READS
 from coexcap.cli import main as cli_main
 from coexcap.tables import TABLE_IDS
 
@@ -24,7 +25,7 @@ def main() -> int:
     for table_id in TABLE_IDS:
         out = outdir / f"table{table_id}.csv"
         argv = ["table", str(table_id), "--out", str(out)]
-        if args.seed is not None:
+        if args.seed is not None and "seed" in TABLE_READS[table_id]:
             argv += ["--seed", str(args.seed)]
         status = cli_main(argv)
         if status != 0:

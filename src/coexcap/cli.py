@@ -70,11 +70,27 @@ def _emit(columns, rows, fmt: str, out_path: str | None, header_lines=()):
 # subcommands
 # ---------------------------------------------------------------------------
 
+#: Flags of ``table`` as {parser dest: flag}.  The table parser leaves a
+#: flag that is not given out of the parsed arguments, so each table can
+#: reject the flags it does not read.
+TABLE_FLAGS = {"seed": "--seed", "payload": "--payload"}
+#: The flags each table id reads.
+TABLE_READS = {1: set(), 6: {"payload"}, 7: set(), 8: {"payload"},
+               9: {"seed", "payload"}, 10: {"seed", "payload"}}
+
+
 def cmd_table(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
-    columns, rows = tables.build_table(args.table_id, seed=seed,
-                                       payload_bytes=args.payload)
-    header = [f"seed = {seed}"] if args.table_id in (9, 10) else []
+    reads = TABLE_READS[args.table_id]
+    unread = sorted(TABLE_FLAGS[dest]
+                    for dest in vars(args).keys() & TABLE_FLAGS.keys() - reads)
+    if unread:
+        raise ConfigError(f"table {args.table_id} does not read {' '.join(unread)}")
+    options = {"payload_bytes": args.payload} if "payload" in args else {}
+    header = []
+    if "seed" in reads:
+        options["seed"] = args.seed if "seed" in args else default_seed()
+        header = [f"seed = {options['seed']}"]
+    columns, rows = tables.build_table(args.table_id, **options)
     _emit(columns, rows, args.format, args.out, header)
     return 0
 
@@ -227,11 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p_table = sub.add_parser("table", help="emit one of the built-in result tables")
+    p_table = sub.add_parser("table", help="emit one of the built-in result tables",
+                             argument_default=argparse.SUPPRESS)
     p_table.add_argument("table_id", type=int, choices=tables.TABLE_IDS)
     add_output(p_table)
-    p_table.add_argument("--seed", type=int, default=None)
-    p_table.add_argument("--payload", type=int, default=1500)
+    p_table.add_argument("--seed", type=int)
+    p_table.add_argument("--payload", type=int)
     p_table.set_defaults(func=cmd_table)
 
     # the sweep flags take their defaults from SWEEP_FLAGS

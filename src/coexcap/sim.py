@@ -12,14 +12,28 @@ whole OFDM symbols and beacons are transmitted, so measured throughput
 sits slightly below the analytical capacity.  The event clock is integer
 nanoseconds; identical configurations (including the seed) produce
 identical results and traces.
+
+Event kinds, in tie-break order at equal times:
+
+- ``WINDOW_BOUNDARY``: a Wi-Fi window closes; the CTS is scheduled.
+- ``CTS_DUE``: the CTS-to-self goes out and reserves the scheduled window.
+- ``NAV_EXPIRY``: the scheduled window ends and a Wi-Fi window opens.
+- ``BEACON_DUE``: a beacon becomes pending; it takes the next access.
+- ``BACKOFF_EXPIRY``: DIFS and the backoff have elapsed; the AP sends a
+  beacon or the largest A-MPDU whose exchange fits in the window.
+- ``BEACON_END``: the beacon leaves the air and the next access starts.
+- ``ACK_END``: the block-ACK ends the data exchange (data frame, SIFS,
+  block-ACK: one event) and the next access starts.
+- ``LAA_BURST_END``: a scheduled burst ends (traced runs only).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
@@ -42,8 +56,12 @@ def _ns(us: float) -> int:
 # Event kinds, numbered in tie-break order: control traffic before data.
 # Events are (time_ns, kind, seq, payload) tuples; seq is unique, so the
 # queue orders by time, then kind, then push order.
-(WINDOW_BOUNDARY, CTS_DUE, NAV_EXPIRY, BEACON_DUE, BACKOFF_EXPIRY, TX_END,
+(WINDOW_BOUNDARY, CTS_DUE, NAV_EXPIRY, BEACON_DUE, BACKOFF_EXPIRY, BEACON_END,
  ACK_END, LAA_BURST_END) = range(8)
+
+# backoff counters drawn per generator call; the draws are used one per
+# access in time order, so the block size never changes a counter
+_DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -156,15 +174,19 @@ class _Simulation:
         # beacons go out at the basic rate behind a non-HT preamble
         self.beacon_air_ns = _ns(NON_HT_PREAMBLE_US + padded_airtime_us(
             config.beacon_bytes * 8, w.basic_rate_mbps))
-        # indexed by MPDU count; non-decreasing, so _fit_mpdus can bisect
+        # indexed by MPDU count; non-decreasing, so a fit can bisect
         self.data_air_ns = [_ns(w.phy_header_us
                                 + padded_airtime_us(n * w.subframe_bytes * 8,
                                                     self.rate))
                             for n in range(self.n_full + 1)]
         self.exchange_ns = [d + self.sifs_ns + self.ba_air_ns
                             for d in self.data_air_ns]
+        self.mpdu_bits = w.payload_bytes * 8
 
-        self.rng = np.random.Generator(np.random.Philox(key=[config.seed, 0]))
+        # a uint64 key keeps every seed in [0, 2**64) on its own stream
+        self.rng = np.random.Generator(np.random.Philox(
+            key=np.array([config.seed, 0], dtype=np.uint64)))
+        self.draws: list[int] = []        # unused backoff counters, last first
 
         self.m0 = _ns(config.warmup_us)
         self.m1 = self.m0 + _ns(config.measure_us)
@@ -181,7 +203,7 @@ class _Simulation:
                                if self.windowed else 0)
 
         self.heap: list[tuple] = []
-        self._seq = 0
+        self._seq = count()
         self.window_end = math.inf
         self.counter: int | None = None
         self.busy_until = 0
@@ -191,70 +213,73 @@ class _Simulation:
         self.nav_total_ns = 0
         self.window_ns = 0
         self.tx = self.cts = self.beacons = self.overruns = 0
+        self.tracing = config.collect_trace
         self.trace: list[str] = []
 
     # -- plumbing ----------------------------------------------------------
 
+    # the per-exchange handlers push with heappush directly and test
+    # self.tracing before calling _log, which saves a call on each event
     def _push(self, time_ns: int, kind: int, payload: tuple = ()):
-        self._seq += 1
-        heapq.heappush(self.heap, (time_ns, kind, self._seq, payload))
+        heappush(self.heap, (time_ns, kind, next(self._seq), payload))
 
     def _log(self, t_ns: int, node: str, kind: str, dur_ns: int, outcome: str):
-        if self.cfg.collect_trace:
+        if self.tracing:
             self.trace.append(f"{t_ns / _NS:.3f}\t{node}\t{kind}\t"
                               f"{dur_ns / _NS:.3f}\t{outcome}")
-
-    def _fit_mpdus(self, room_ns: float) -> int:
-        """Largest MPDU count whose exchange fits in room_ns, or 0."""
-        return bisect_right(self.exchange_ns, room_ns, 1) - 1
 
     # -- handlers ----------------------------------------------------------
 
     def _start_access(self, t_ns: int):
         if self.counter is None:
-            self.counter = int(self.rng.integers(0, self.wifi.cw_min))
+            if not self.draws:
+                self.draws = self.rng.integers(0, self.wifi.cw_min,
+                                               size=_DRAW_BLOCK).tolist()[::-1]
+            self.counter = self.draws.pop()
         ready = t_ns + self.difs_ns + self.counter * self.slot_ns
         if ready >= self.window_end:
             usable = max(0, int(self.window_end - t_ns - self.difs_ns) // self.slot_ns)
             self.counter -= min(self.counter, usable)
             return
-        self._push(ready, BACKOFF_EXPIRY)
+        heappush(self.heap, (ready, BACKOFF_EXPIRY, next(self._seq), ()))
 
     def _on_backoff_expiry(self, t_ns: int, payload: tuple):
         self.counter = None
         room = self.window_end - t_ns
         if self.beacon_pending:
             if self.beacon_air_ns <= room:
-                self._push(t_ns + self.beacon_air_ns, TX_END, ("beacon",))
+                self._push(t_ns + self.beacon_air_ns, BEACON_END)
             else:
                 self.counter = 0
             return
-        n = self._fit_mpdus(room)
+        # the largest MPDU count whose exchange fits, or 0
+        n = bisect_right(self.exchange_ns, room, 1) - 1
         if n == 0:
             self.counter = 0
             return
-        self._push(t_ns + self.data_air_ns[n], TX_END, ("data", n))
+        # nothing else is logged while the data frame is on the air, so
+        # logging it now keeps the trace order; like every line, it is
+        # kept only if the frame ends by the end of the measurement
+        if self.tracing and t_ns + self.data_air_ns[n] <= self.m1:
+            self._log(t_ns, "ap", "data", self.data_air_ns[n], "ok")
+        heappush(self.heap, (t_ns + self.exchange_ns[n], ACK_END,
+                             next(self._seq), (n,)))
 
-    def _on_tx_end(self, t_ns: int, payload: tuple):
-        if payload[0] == "beacon":
-            self.beacons += 1
-            self.beacon_pending = False
-            self.busy_until = t_ns
-            self._log(t_ns - self.beacon_air_ns, "ap", "beacon",
-                      self.beacon_air_ns, "ok")
-            self._start_access(t_ns)
-            return
-        n = payload[1]
-        self._log(t_ns - self.data_air_ns[n], "ap", "data", self.data_air_ns[n], "ok")
-        self._push(t_ns + self.sifs_ns + self.ba_air_ns, ACK_END, (n,))
+    def _on_beacon_end(self, t_ns: int, payload: tuple):
+        self.beacons += 1
+        self.beacon_pending = False
+        self.busy_until = t_ns
+        self._log(t_ns - self.beacon_air_ns, "ap", "beacon", self.beacon_air_ns, "ok")
+        self._start_access(t_ns)
 
     def _on_ack_end(self, t_ns: int, payload: tuple):
         n = payload[0]
         self.busy_until = t_ns
         self.tx += 1
         if self.m0 <= t_ns <= self.m1:
-            self.bits += n * self.wifi.payload_bytes * 8
-        self._log(t_ns - self.ba_air_ns, "sta", "block-ack", self.ba_air_ns, "ok")
+            self.bits += n * self.mpdu_bits
+        if self.tracing:
+            self._log(t_ns - self.ba_air_ns, "sta", "block-ack", self.ba_air_ns, "ok")
         self._start_access(t_ns)
 
     def _on_beacon_due(self, t_ns: int, payload: tuple):
@@ -321,10 +346,10 @@ class _Simulation:
         # indexed by event kind, in the order of the kind constants
         handlers = (self._on_window_boundary, self._on_cts_due,
                     self._on_nav_expiry, self._on_beacon_due,
-                    self._on_backoff_expiry, self._on_tx_end,
+                    self._on_backoff_expiry, self._on_beacon_end,
                     self._on_ack_end, self._on_laa_burst_end)
         while self.heap:
-            t_ns, kind, _, payload = heapq.heappop(self.heap)
+            t_ns, kind, _, payload = heappop(self.heap)
             if t_ns > self.m1:
                 break
             handlers[kind](t_ns, payload)
@@ -339,7 +364,7 @@ class _Simulation:
             measure_us=measure_us,
             nav_total_us=self.nav_total_ns / _NS,
             wifi_window_us=self.window_ns / _NS,
-            trace=tuple(self.trace) if self.cfg.collect_trace else None,
+            trace=tuple(self.trace) if self.tracing else None,
         )
 
 

@@ -99,14 +99,12 @@ def table8_rows(payload_bytes: int = 1500, combined_window_us: float = 10_000.0,
     return columns, rows
 
 
-def table9_rows(seed: int = DEFAULT_SEED, payload_bytes: int = 1500,
-                measure_us: float = 10_000_000.0):
+def table9_rows(seed: int = DEFAULT_SEED, payload_bytes: int = 1500):
     columns = ["bandwidth_mhz", "analytical_mbps", "simulated_mbps"]
     rows = []
     for bw in WIFI_BANDWIDTHS:
         sim = run_simulation(SimConfig(seed=seed, mode="dfm", bandwidth_mhz=bw,
-                                       payload_bytes=payload_bytes,
-                                       measure_us=measure_us))
+                                       payload_bytes=payload_bytes))
         rows.append([bw, round(wifi_nc_capacity(bw, payload_bytes), 2),
                      round(sim.wifi_throughput_mbps, 2)])
     return columns, rows
@@ -123,7 +121,7 @@ def dtm_analytical_capacity(bandwidth_mhz: int, ratio: float,
 
 
 def table10_rows(seed: int = DEFAULT_SEED, t_wifi_us: float = 5000.0,
-                 payload_bytes: int = 1500, measure_us: float = 10_000_000.0):
+                 payload_bytes: int = 1500):
     columns = ["bandwidth_mhz", "wifi_ratio", "analytical_mbps", "simulated_mbps"]
     rows = []
     for bw in WIFI_BANDWIDTHS:
@@ -131,8 +129,7 @@ def table10_rows(seed: int = DEFAULT_SEED, t_wifi_us: float = 5000.0,
             t_laa = t_wifi_us * (1.0 - ratio) / ratio
             sim = run_simulation(SimConfig(seed=seed, mode="dtm", bandwidth_mhz=bw,
                                            payload_bytes=payload_bytes,
-                                           t_wifi_us=t_wifi_us, t_laa_us=t_laa,
-                                           measure_us=measure_us))
+                                           t_wifi_us=t_wifi_us, t_laa_us=t_laa))
             rows.append([bw, ratio,
                          round(dtm_analytical_capacity(bw, ratio, t_wifi_us,
                                                        payload_bytes), 2),
@@ -140,24 +137,17 @@ def table10_rows(seed: int = DEFAULT_SEED, t_wifi_us: float = 5000.0,
     return columns, rows
 
 
-#: Builder per table id, each called with (seed, payload_bytes, measure_us).
-_TABLES = {
-    1: lambda seed, payload, measure: table1_rows(),
-    6: lambda seed, payload, measure: table6_rows(payload),
-    7: lambda seed, payload, measure: table7_rows(),
-    8: lambda seed, payload, measure: table8_rows(payload),
-    9: lambda seed, payload, measure: table9_rows(seed, payload, measure),
-    10: lambda seed, payload, measure: table10_rows(seed, payload_bytes=payload,
-                                                    measure_us=measure),
-}
+#: Builder per table id.
+_TABLES = {1: table1_rows, 6: table6_rows, 7: table7_rows, 8: table8_rows,
+           9: table9_rows, 10: table10_rows}
 TABLE_IDS = tuple(_TABLES)
 
 
-def build_table(table_id: int, seed: int = DEFAULT_SEED, payload_bytes: int = 1500,
-                measure_us: float = 10_000_000.0):
+def build_table(table_id: int, **options):
+    """Rows of one table; options are keyword arguments of its builder."""
     if table_id not in _TABLES:
         raise ValueError(f"unsupported table id {table_id} (supported: {TABLE_IDS})")
-    return _TABLES[table_id](seed, payload_bytes, measure_us)
+    return _TABLES[table_id](**options)
 
 
 # ---------------------------------------------------------------------------

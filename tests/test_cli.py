@@ -8,9 +8,10 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexcap.cli import main
+from coexcap.cli import TABLE_READS, main
 from coexcap.params import laa_class1, wifi_default
 from coexcap.sim import DEFAULT_SEED
+from coexcap.tables import TABLE_IDS
 
 SIM_CONFIG = """\
 [simulation]
@@ -80,6 +81,10 @@ def test_table_json_mirrors_csv(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["rows"][2]["bandwidth_mhz"] == 80
     assert payload["rows"][2]["c_w_nc_mbps"] == pytest.approx(377.22, abs=0.01)
+
+
+def test_every_table_declares_the_flags_it_reads():
+    assert TABLE_READS.keys() == set(TABLE_IDS)
 
 
 def test_unsupported_table_id(capsys):
@@ -336,6 +341,13 @@ def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
     ("sweep", "--curve", "dtm-window-efficiency", "--bandwidth", "40", "20000"),
     ("sweep", "--curve", "usage", "--bandwidth", "80"),
     ("sweep", "--windows", "5000"),
+    # a table refuses the flags it does not read
+    ("table", "7", "--payload", "3000"),
+    ("table", "1", "--seed", "9", "--payload", "3000"),
+    ("table", "1", "--seed", "9"),
+    ("table", "6", "--seed", "9"),
+    ("table", "7", "--seed", "9"),
+    ("table", "8", "--seed", "9"),
     ("optimize", "--ratio", "nan"),
     ("optimize", "--ratio", "0"),
 ], ids=" ".join)
@@ -368,8 +380,9 @@ def test_unread_flag_rejected(capsys, sim_config_path, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-# Every analytical command with the numeric flags it reads; table 9/10 and
-# simulate run simulations and are left to the INI fuzz above.
+# Every analytical command with its numeric flags (tables 1 and 7 refuse
+# --payload); table 9/10 and simulate run simulations and are left to the
+# INI fuzz above.
 FUZZ_COMMANDS = (
     [(("table", t), ("--payload",)) for t in ("1", "6", "7", "8")]
     + [(("sweep",), ("--t-wifi", "--ratio", "--payload")),

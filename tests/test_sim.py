@@ -1,8 +1,10 @@
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
 
 from conftest import make_scenario
@@ -10,6 +12,7 @@ from coexcap.coex import LAA_EFFICIENCY, capacity_no_coex
 from coexcap.errors import ConfigError, InvalidWindowError
 from coexcap.params import DEFAULT_RATE_TABLE, WifiMacProfile, laa_class4
 from coexcap.sharing import cts_downtime
+from coexcap import sim
 from coexcap.sim import SimConfig, _Simulation, laa_burst_layout, run_simulation
 
 SHORT = 1_000_000.0   # 1 s measurement keeps unit tests quick
@@ -279,3 +282,39 @@ def test_edge_digest():
         digest.update(json.dumps(result.to_dict(), sort_keys=True).encode())
         digest.update("\n".join(result.trace).encode())
     assert digest.hexdigest() == EDGE_DIGEST
+
+
+def test_high_seeds_have_their_own_streams():
+    # seeds of 2**63 and above must not collide with each other or with 0
+    runs = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 2**63, 2**63 + 1, 2**64 - 1):
+            result = run_simulation(dfm_config(seed=seed, measure_us=50_000.0,
+                                               collect_trace=True))
+            runs[seed] = (result.wifi_throughput_mbps, result.trace)
+    assert len(set(runs.values())) == 4
+
+
+@pytest.mark.parametrize("cw", [1, 2, 16, 1024])
+def test_block_draws_equal_scalar_draws(cw):
+    # the simulator draws backoff counters in blocks; that is exact only
+    # while a block equals the same number of scalar draws
+    key = np.array([9, 0], dtype=np.uint64)
+    block = np.random.Generator(np.random.Philox(key=key))
+    scalar = np.random.Generator(np.random.Philox(key=key))
+    assert block.integers(0, cw, size=2500).tolist() == [
+        int(scalar.integers(0, cw)) for _ in range(2500)]
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_draw_block_size_changes_nothing(monkeypatch, size):
+    # short bursts in short windows: more accesses than one default block
+    cfg = dtm_config(t_wifi_us=1200.0, t_laa_us=3600.0, measure_us=2e6,
+                     wifi=WifiMacProfile(max_mpdus=3), collect_trace=True)
+    default = run_simulation(cfg)
+    assert default.counts.transmissions > sim._DRAW_BLOCK
+    monkeypatch.setattr(sim, "_DRAW_BLOCK", size)
+    other = run_simulation(cfg)
+    assert other.to_dict() == default.to_dict()
+    assert other.trace == default.trace
