@@ -164,6 +164,9 @@ def _sim_config_from_file(path: str, seed_override: int | None,
     section = dict(cp.items("simulation"))
     kwargs = {"collect_trace": trace}
     try:
+        if "payload_bytes" in section and cp.has_option("wifi", "payload_bytes"):
+            raise ConfigError("the payload has more than one source; give one of "
+                              "[simulation] payload_bytes or [wifi] payload_bytes")
         # each side's profile comes from one source: a preset named in
         # [simulation] or in its own section, or that section's fields
         for side, cls in PROFILE_SECTIONS.items():

@@ -13,7 +13,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from . import params
 from .errors import ConvergenceError, DegenerateBlockingError, EmptyBurstError
 from .params import (DEFAULT_RATE_TABLE, LaaClassProfile, WifiMacProfile,
                      contention_window, max_mpdus_per_burst)
@@ -29,20 +28,22 @@ class CoexScenario:
     n_w: int = 1
     n_l: int = 1
     p_fc: float = 1.0          # 1.0 once bursts are long A-MPDUs
-    wifi_rate_mbps: float | None = None
-    laa_rate_mbps: float | None = None
 
     def __post_init__(self):
         if self.n_w < 0 or self.n_l < 0 or self.n_w + self.n_l < 1:
             raise ValueError("need at least one transmitter")
         if not 0.0 <= self.p_fc <= 1.0:
             raise ValueError("p_fc must be a probability")
-        if self.wifi_rate_mbps is None:
-            object.__setattr__(self, "wifi_rate_mbps",
-                               DEFAULT_RATE_TABLE.wifi_rate(self.bandwidth_mhz))
-        if self.laa_rate_mbps is None:
-            object.__setattr__(self, "laa_rate_mbps",
-                               DEFAULT_RATE_TABLE.laa_rate(self.bandwidth_mhz))
+
+    @property
+    def wifi_rate_mbps(self) -> float:
+        """Peak Wi-Fi rate at the bandwidth; raises ``UnsupportedBandwidthError``
+        for a width with no Wi-Fi rate (LAA-alone pricing never reads it)."""
+        return DEFAULT_RATE_TABLE.wifi_rate(self.bandwidth_mhz)
+
+    @property
+    def laa_rate_mbps(self) -> float:
+        return DEFAULT_RATE_TABLE.laa_rate(self.bandwidth_mhz)
 
     @property
     def payload_bytes(self) -> int:
@@ -112,14 +113,6 @@ class BurstDurations:
 # burst durations
 # ---------------------------------------------------------------------------
 
-def _tail_pad_us(psdu_bits: float, rate_mbps: float, symbol_us: float) -> float:
-    """Extra airtime to finish the PSDU on an OFDM symbol boundary (0 if disabled)."""
-    if symbol_us <= 0.0:
-        return 0.0
-    raw = psdu_bits / rate_mbps
-    return params.padded_airtime_us(int(psdu_bits), rate_mbps, symbol_us) - raw
-
-
 def wifi_success_duration(scenario: CoexScenario, n_mpdus: int) -> float:
     """Channel time of a successful Wi-Fi burst: defer, data PPDU, block-ACK exchange."""
     w = scenario.wifi
@@ -127,10 +120,7 @@ def wifi_success_duration(scenario: CoexScenario, n_mpdus: int) -> float:
     ba_bits = w.block_ack_bytes * 8
     return (w.difs_us + w.phy_header_us
             + psdu_bits / scenario.wifi_rate_mbps
-            + _tail_pad_us(psdu_bits, scenario.wifi_rate_mbps, w.pad_symbol_us)
-            + w.sifs_us + w.ba_phy_header_us
-            + ba_bits / w.basic_rate_mbps
-            + _tail_pad_us(ba_bits, w.basic_rate_mbps, w.pad_symbol_us))
+            + w.sifs_us + ba_bits / w.basic_rate_mbps)
 
 
 def wifi_collision_duration(scenario: CoexScenario, n_mpdus: int) -> float:
@@ -139,7 +129,6 @@ def wifi_collision_duration(scenario: CoexScenario, n_mpdus: int) -> float:
     psdu_bits = n_mpdus * w.subframe_bytes * 8
     return (w.difs_us + w.phy_header_us
             + psdu_bits / scenario.wifi_rate_mbps
-            + _tail_pad_us(psdu_bits, scenario.wifi_rate_mbps, w.pad_symbol_us)
             + w.ack_timeout_us)
 
 

@@ -64,10 +64,6 @@ class WifiMacProfile:
     payload_bytes: int = 1500
     block_ack_bytes: int = 32
     ack_timeout_us: float = 50.0
-    # Accounting refinements, disabled (0.0) in the published capacity model:
-    # a separate preamble on the block-ACK leg and OFDM-symbol pad rounding.
-    ba_phy_header_us: float = 0.0
-    pad_symbol_us: float = 0.0
 
     def __post_init__(self):
         _check_ranges(self, ("slot_us", "sifs_us", "basic_rate_mbps", "max_ppdu_us",
@@ -204,12 +200,11 @@ def max_mpdus_per_burst(profile: WifiMacProfile, data_rate_mbps: float,
     return max(0, min(profile.max_mpdus, by_airtime, by_bytes))
 
 
-def padded_airtime_us(psdu_bits: int, rate_mbps: float,
-                      symbol_us: float = OFDM_SYMBOL_US) -> float:
+def padded_airtime_us(psdu_bits: int, rate_mbps: float) -> float:
     """PSDU airtime rounded up to whole OFDM symbols, incl. service/tail bits."""
-    bits_per_symbol = rate_mbps * symbol_us
+    bits_per_symbol = rate_mbps * OFDM_SYMBOL_US
     symbols = math.ceil((SERVICE_BITS + psdu_bits + TAIL_BITS) / bits_per_symbol)
-    return symbols * symbol_us
+    return symbols * OFDM_SYMBOL_US
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 from .coex import CoexScenario, capacity_no_coex
 from .errors import InfeasiblePartitionError, InvalidWindowError
-from .params import (BASIC_RATE_MBPS, DEFAULT_RATE_TABLE, NON_HT_PREAMBLE_US,
-                     SIFS_US, LaaClassProfile, WifiMacProfile, padded_airtime_us)
+from .params import (BASIC_RATE_MBPS, NON_HT_PREAMBLE_US, SIFS_US, LaaClassProfile,
+                     WifiMacProfile, padded_airtime_us)
 
 #: One CTS frame reserves at most this long (16-bit duration field, us).
 MAX_CTS_RESERVATION_US = 32_767.0
@@ -142,7 +142,7 @@ class DtmSchedule:
 class CapacityReport:
     """Per-RAT capacities of one configuration under one sharing regime."""
 
-    regime: str                      # coexistence | dtm | dfm | nc
+    regime: str                      # dtm | dfm
     c_w_mbps: float
     c_l_mbps: float
     alpha: float = 0.5
@@ -150,8 +150,6 @@ class CapacityReport:
     wifi_ratio: float | None = None
     laa_class: int | None = None
     payload_bytes: int | None = None
-    feasible: bool = True
-    note: str = ""
 
     @property
     def aggregated_mbps(self) -> float:
@@ -169,8 +167,7 @@ class CapacityReport:
                 "c_l_mbps": self.c_l_mbps, "aggregated_mbps": self.aggregated_mbps,
                 "alpha": self.alpha, "bandwidth_mhz": self.bandwidth_mhz,
                 "wifi_ratio": self.wifi_ratio, "laa_class": self.laa_class,
-                "payload_bytes": self.payload_bytes, "feasible": self.feasible,
-                "note": self.note}
+                "payload_bytes": self.payload_bytes, "feasible": True, "note": ""}
 
 
 def dtm_capacities(schedule: DtmSchedule, scenario: CoexScenario,
@@ -246,13 +243,9 @@ def dfm_capacities(partition: DfmPartition, scenario: CoexScenario,
     """Independent no-coexistence capacities of each side of the split."""
     c_w = 0.0
     for width in partition.wifi_subchannels:
-        sub = replace(scenario, bandwidth_mhz=width,
-                      wifi_rate_mbps=DEFAULT_RATE_TABLE.wifi_rate(width))
-        c_w += capacity_no_coex("wifi", sub)
+        c_w += capacity_no_coex("wifi", replace(scenario, bandwidth_mhz=width))
     if partition.laa_carriers:
-        laa_bw = partition.laa_bandwidth_mhz
-        sub = replace(scenario, bandwidth_mhz=laa_bw,
-                      laa_rate_mbps=DEFAULT_RATE_TABLE.laa_rate(laa_bw))
+        sub = replace(scenario, bandwidth_mhz=partition.laa_bandwidth_mhz)
         c_l = capacity_no_coex("laa", sub)
     else:
         c_l = 0.0
@@ -273,8 +266,11 @@ class BestDmaResult:
     recommendation: str            # "dtm" or "dfm"
     dtm: CapacityReport
     dfm: CapacityReport | None
-    dfm_feasible: bool
     tie: bool = False
+
+    @property
+    def dfm_feasible(self) -> bool:
+        return self.dfm is not None
 
 
 def pick_best(dtm_utility: float, dfm_utility: float | None) -> tuple[str, bool]:
@@ -295,7 +291,7 @@ def best_dma(channel_bw_mhz: int, wifi_ratio: float, scenario: CoexScenario,
     try:
         partition = dfm_partition(channel_bw_mhz, wifi_ratio)
     except InfeasiblePartitionError:
-        return BestDmaResult("dtm", dtm, None, dfm_feasible=False)
+        return BestDmaResult("dtm", dtm, None)
     dfm = dfm_capacities(partition, scenario, alpha)
     label, tie = pick_best(dtm.utility, dfm.utility)
-    return BestDmaResult(label, dtm, dfm, dfm_feasible=True, tie=tie)
+    return BestDmaResult(label, dtm, dfm, tie=tie)

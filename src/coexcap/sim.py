@@ -30,6 +30,7 @@ Event kinds, in tie-break order at equal times:
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -83,12 +84,19 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in ("dfm", "dtm"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        # a float or a bool would run on an integer seed's stream under its own name
+        try:
+            seed = -1 if isinstance(self.seed, bool) else operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.beacon_bytes < 0:
             raise ConfigError(f"beacon_bytes must be non-negative, got {self.beacon_bytes}")
         if self.mode == "dtm" and (self.t_wifi_us is None or self.t_laa_us is None):
             raise ConfigError("dtm mode needs t_wifi_us and t_laa_us")
+        if self.mode == "dfm" and (self.t_wifi_us is not None or self.t_laa_us is not None):
+            raise ConfigError("dfm mode reads no t_wifi_us or t_laa_us")
         # the event loop keeps whole-ns time and steps by the last three periods
         for name, value, least_ns in (
                 ("t_wifi_us", self.t_wifi_us, 0), ("t_laa_us", self.t_laa_us, 0),

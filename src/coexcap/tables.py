@@ -69,9 +69,9 @@ def table7_rows():
     return table6_rows(payload_bytes=15_000)
 
 
-def table8_rows(payload_bytes: int = 1500, combined_window_us: float = 10_000.0,
-                bandwidths=WIFI_BANDWIDTHS):
-    """Best sharing approach per bandwidth and ratio, both priority classes.
+def table8_rows(payload_bytes: int = 1500):
+    """Best sharing approach per bandwidth and ratio, both priority classes,
+    over a 10 ms combined window.
 
     Emits one row per (bandwidth, ratio); capacities are reported under the
     recommended approach of the class-1 configuration, mirroring the
@@ -81,12 +81,10 @@ def table8_rows(payload_bytes: int = 1500, combined_window_us: float = 10_000.0,
     columns = ["bandwidth_mhz", "wifi_ratio", "c_w_mbps", "c_l_class1_mbps",
                "c_l_class4_mbps", "best_dma", "dfm_feasible"]
     rows = []
-    for bw in bandwidths:
+    for bw in WIFI_BANDWIDTHS:
         for ratio in SHARING_RATIOS:
-            picks = {}
-            for cls in (1, 4):
-                picks[cls] = best_dma(bw, ratio, scenario_for(bw, cls, payload_bytes),
-                                      combined_window_us=combined_window_us)
+            picks = {cls: best_dma(bw, ratio, scenario_for(bw, cls, payload_bytes))
+                     for cls in (1, 4)}
             label = picks[1].recommendation
             reports = {cls: (picks[cls].dtm if label == "dtm" else picks[cls].dfm)
                        for cls in (1, 4)}
@@ -110,29 +108,23 @@ def table9_rows(seed: int = DEFAULT_SEED, payload_bytes: int = 1500):
     return columns, rows
 
 
-def dtm_analytical_capacity(bandwidth_mhz: int, ratio: float,
-                            t_wifi_us: float = 5000.0,
-                            payload_bytes: int = 1500) -> float:
-    """Wi-Fi capacity in time-split operation, fixed Wi-Fi window, given ratio."""
-    t_laa = t_wifi_us * (1.0 - ratio) / ratio
-    schedule = DtmSchedule(t_wifi_us, t_laa)
-    report = dtm_capacities(schedule, scenario_for(bandwidth_mhz, 1, payload_bytes))
-    return report.c_w_mbps
+#: Table 10's fixed Wi-Fi window; the scheduled window sets the ratio.
+TABLE10_T_WIFI_US = 5000.0
 
 
-def table10_rows(seed: int = DEFAULT_SEED, t_wifi_us: float = 5000.0,
-                 payload_bytes: int = 1500):
+def table10_rows(seed: int = DEFAULT_SEED, payload_bytes: int = 1500):
+    """Analytical and simulated Wi-Fi capacity under time multiplexing."""
     columns = ["bandwidth_mhz", "wifi_ratio", "analytical_mbps", "simulated_mbps"]
     rows = []
     for bw in WIFI_BANDWIDTHS:
+        scenario = scenario_for(bw, 1, payload_bytes)
         for ratio in SHARING_RATIOS:
-            t_laa = t_wifi_us * (1.0 - ratio) / ratio
+            t_laa = TABLE10_T_WIFI_US * (1.0 - ratio) / ratio
+            report = dtm_capacities(DtmSchedule(TABLE10_T_WIFI_US, t_laa), scenario)
             sim = run_simulation(SimConfig(seed=seed, mode="dtm", bandwidth_mhz=bw,
                                            payload_bytes=payload_bytes,
-                                           t_wifi_us=t_wifi_us, t_laa_us=t_laa))
-            rows.append([bw, ratio,
-                         round(dtm_analytical_capacity(bw, ratio, t_wifi_us,
-                                                       payload_bytes), 2),
+                                           t_wifi_us=TABLE10_T_WIFI_US, t_laa_us=t_laa))
+            rows.append([bw, ratio, round(report.c_w_mbps, 2),
                          round(sim.wifi_throughput_mbps, 2)])
     return columns, rows
 

@@ -199,6 +199,22 @@ def test_simulate_with_explicit_profile_fields(tmp_path):
     assert 0 < capped < free
 
 
+def test_simulate_payload_from_either_section(tmp_path):
+    # [simulation] payload_bytes sets a preset's payload; it must not be
+    # given together with [wifi] payload_bytes (see test_simulate_rejects_config)
+    def run(name, text):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text("[simulation]\nmode = dfm\nseed = 5\nmeasure_us = 200000\n" + text)
+        out = tmp_path / f"{name}.json"
+        assert run_cli("simulate", str(cfg), "--format", "json",
+                       "--out", str(out)) == 0
+        return json.loads(out.read_text())["rows"][0]
+
+    with_preset = run("preset", "payload_bytes = 500\n\n[wifi]\npreset = table2-wifi\n")
+    assert with_preset == run("fields", "\n[wifi]\npayload_bytes = 500\n")
+    assert with_preset != run("default", "")
+
+
 def test_simulate_rejects_unknown_profile_key(tmp_path, capsys):
     cfg = tmp_path / "bad_profile.ini"
     cfg.write_text("[simulation]\nmode = dfm\n\n[wifi]\nwarp_factor = 9\n")
@@ -284,6 +300,12 @@ def test_simulate_never_crashes_on_config_value(tmp_path, capsys, deadline,
     ("[simulation]\n\n[wifi]\ndifs_us = 34\n", "difs_us"),
     ("[simulation]\n\n[wifi]\nbeacon_interval_us = 102400\n", "beacon_interval_us"),
     ("[simulation]\n\n[laa]\nmultichannel_cca = type-a2\n", "multichannel_cca"),
+    ("[simulation]\n\n[wifi]\npad_symbol_us = 4\n", "pad_symbol_us"),
+    ("[simulation]\n\n[wifi]\nba_phy_header_us = 40\n", "ba_phy_header_us"),
+    ("[simulation]\npayload_bytes = 1500\n\n[wifi]\npayload_bytes = 9000\n",
+     "[simulation] payload_bytes or [wifi] payload_bytes"),
+    ("[simulation]\nt_wifi_us = 5000\n", "dfm mode reads no t_wifi_us"),
+    ("[simulation]\nmode = dfm\nt_laa_us = 5000\n", "dfm mode reads no t_wifi_us or t_laa_us"),
     ("[simulation]\n\n[wifi]\npreset = table2-wifi\nslot_us = 9\n", "one of"),
     ("[simulation]\nlaa_preset = laa-class4\n\n[laa]\npreset = laa-class1\n",
      "one of"),

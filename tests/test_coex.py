@@ -13,8 +13,9 @@ from coexcap.coex import (COEXISTENCE_CACHE_SIZE, BurstDurations,
                           solve_equilibrium, throughputs,
                           transmission_probability, wifi_collision_duration,
                           wifi_success_duration)
-from coexcap.errors import DegenerateBlockingError, EmptyBurstError
-from coexcap.tables import SweepSpec, sweep_rows
+from coexcap.errors import (DegenerateBlockingError, EmptyBurstError,
+                            UnsupportedBandwidthError)
+from coexcap.tables import SweepSpec, scenario_for, sweep_rows
 from oracles import analytic_event_probs, chain_tau, contention_slots
 
 
@@ -60,20 +61,19 @@ def test_laa_burst_durations(laa1, laa4):
     assert laa1.gamma_us == 250.0
 
 
+def test_rates_follow_the_bandwidth():
+    narrowed = replace(scenario_for(80), bandwidth_mhz=40)
+    assert (narrowed.wifi_rate_mbps, narrowed.laa_rate_mbps) == (200.0, 150.8)
+    # an LAA-only width prices LAA alone; only reading its Wi-Fi rate fails
+    laa_only = replace(scenario_for(80), bandwidth_mhz=60)
+    assert capacity_no_coex("laa", laa_only) > 0.0
+    with pytest.raises(UnsupportedBandwidthError):
+        laa_only.wifi_rate_mbps
+
+
 def test_burst_durations_symmetry(scenario_80):
     dur = coex_durations(scenario_80)
     assert dur.ts_l == dur.tc_l
-    assert dur.tc_w <= dur.ts_w
-
-
-def test_padded_accounting_orders_durations():
-    # with symbol alignment and a BA preamble enabled the exchange grows
-    wifi = replace(make_scenario(80).wifi, pad_symbol_us=4.0, ba_phy_header_us=40.0)
-    padded = replace(make_scenario(80), wifi=wifi)
-    plain = make_scenario(80)
-    n = plain.mpdus_per_burst()
-    assert wifi_success_duration(padded, n) > wifi_success_duration(plain, n)
-    dur = coex_durations(padded)
     assert dur.tc_w <= dur.ts_w
 
 

@@ -41,7 +41,7 @@ def test_profile_validation_rejects_inconsistency():
     for bad in (0.0, -500.0, float("nan")):
         with pytest.raises(ValueError):
             replace(laa_class1(), laa_slot_us=bad)
-    for name in ("slot_us", "max_ppdu_us", "pad_symbol_us"):
+    for name in ("slot_us", "max_ppdu_us"):
         with pytest.raises(ValueError):
             replace(wifi_default(), **{name: float("inf")})
 

@@ -34,6 +34,13 @@ def dtm_config(**kw):
 def test_config_validation():
     for kw in (dict(mode="tdma"),
                dict(mode="dtm"),                        # windows missing
+               dict(t_wifi_us=5000.0),                  # dfm reads no window
+               dict(t_laa_us=5000.0),
+               dict(seed=1.5),                          # would run on seed 1
+               dict(seed=True),
+               dict(seed="3"),
+               dict(seed=-1),
+               dict(seed=2**64),
                dict(measure_us=0.0),
                dict(mode="dtm", t_wifi_us=5000.0, t_laa_us=-1.0),
                dict(mode="dtm", t_wifi_us=-1.0, t_laa_us=5000.0),
