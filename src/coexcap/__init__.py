@@ -16,9 +16,9 @@ from .errors import (CoexcapError, ConfigError, ConvergenceError,
                      DegenerateBlockingError, EmptyBurstError,
                      InfeasiblePartitionError, InvalidWindowError,
                      UnsupportedBandwidthError)
-from .params import (LaaClassProfile, PhyRateTable, WifiMacProfile,
-                     ampdu_limit_bytes, contention_window, laa_class1,
-                     laa_class4, load_preset, max_mpdus_per_burst, wifi_default)
+from .params import (LaaClassProfile, WifiMacProfile, ampdu_limit_bytes,
+                     contention_window, laa_class1, laa_class4, load_preset,
+                     max_mpdus_per_burst, wifi_default)
 from .sharing import (BestDmaResult, CapacityReport, DfmPartition, DtmSchedule,
                       best_dma, cts_downtime, dfm_capacities, dfm_partition,
                       dtm_capacities, effective_channel_usage, windowed_capacity)

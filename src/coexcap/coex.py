@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DegenerateBlockingError, EmptyBurstError
-from .params import (DEFAULT_RATE_TABLE, LaaClassProfile, WifiMacProfile,
-                     contention_window, max_mpdus_per_burst)
+from .params import (LaaClassProfile, WifiMacProfile, contention_window,
+                     laa_rate, max_mpdus_per_burst, wifi_rate)
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,11 @@ class CoexScenario:
     def wifi_rate_mbps(self) -> float:
         """Peak Wi-Fi rate at the bandwidth; raises ``UnsupportedBandwidthError``
         for a width with no Wi-Fi rate (LAA-alone pricing never reads it)."""
-        return DEFAULT_RATE_TABLE.wifi_rate(self.bandwidth_mhz)
+        return wifi_rate(self.bandwidth_mhz)
 
     @property
     def laa_rate_mbps(self) -> float:
-        return DEFAULT_RATE_TABLE.laa_rate(self.bandwidth_mhz)
+        return laa_rate(self.bandwidth_mhz)
 
     @property
     def payload_bytes(self) -> int:

@@ -7,11 +7,9 @@ and every function here is pure.
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cache
 
 from .errors import ConfigError, UnsupportedBandwidthError
@@ -124,38 +122,31 @@ class LaaClassProfile:
         return self.laa_slot_us / 2.0
 
 
-@dataclass(frozen=True)
-class PhyRateTable:
-    """Peak physical data rates (Mbps) per channel bandwidth (MHz)."""
+#: Peak physical data rates (Mbps) per channel bandwidth (MHz).
+WIFI_RATES_MBPS = {20: 86.7, 40: 200.0, 80: 433.3, 160: 866.7}
+LAA_RATES_MBPS = {20: 75.4, 40: 150.8, 60: 226.1, 80: 301.5, 100: 376.9}
 
-    wifi_rates: dict = field(default_factory=lambda: {
-        20: 86.7, 40: 200.0, 80: 433.3, 160: 866.7})
-    laa_rates: dict = field(default_factory=lambda: {
-        20: 75.4, 40: 150.8, 60: 226.1, 80: 301.5, 100: 376.9})
-
-    def wifi_rate(self, bandwidth_mhz: int) -> float:
-        try:
-            return self.wifi_rates[bandwidth_mhz]
-        except KeyError:
-            raise UnsupportedBandwidthError(
-                f"no Wi-Fi rate for {bandwidth_mhz} MHz "
-                f"(supported: {sorted(self.wifi_rates)})") from None
-
-    def laa_slope_mbps(self) -> float:
-        # least-squares per-carrier rate through the origin
-        pts = [(bw // 20, rate) for bw, rate in self.laa_rates.items()]
-        return sum(n * r for n, r in pts) / sum(n * n for n, _ in pts)
-
-    def laa_rate(self, bandwidth_mhz: int) -> float:
-        if bandwidth_mhz <= 0 or bandwidth_mhz % 20:
-            raise UnsupportedBandwidthError(
-                f"LAA bandwidth must be a positive multiple of 20 MHz, got {bandwidth_mhz}")
-        if bandwidth_mhz in self.laa_rates:
-            return self.laa_rates[bandwidth_mhz]
-        return (bandwidth_mhz // 20) * self.laa_slope_mbps()
+# least-squares per-carrier LAA rate through the origin, for wider carriers
+_LAA_SLOPE_MBPS = (sum(bw // 20 * rate for bw, rate in LAA_RATES_MBPS.items())
+                   / sum((bw // 20) ** 2 for bw in LAA_RATES_MBPS))
 
 
-DEFAULT_RATE_TABLE = PhyRateTable()
+def wifi_rate(bandwidth_mhz: int) -> float:
+    try:
+        return WIFI_RATES_MBPS[bandwidth_mhz]
+    except KeyError:
+        raise UnsupportedBandwidthError(
+            f"no Wi-Fi rate for {bandwidth_mhz} MHz "
+            f"(supported: {sorted(WIFI_RATES_MBPS)})") from None
+
+
+def laa_rate(bandwidth_mhz: int) -> float:
+    if bandwidth_mhz <= 0 or bandwidth_mhz % 20:
+        raise UnsupportedBandwidthError(
+            f"LAA bandwidth must be a positive multiple of 20 MHz, got {bandwidth_mhz}")
+    if bandwidth_mhz in LAA_RATES_MBPS:
+        return LAA_RATES_MBPS[bandwidth_mhz]
+    return (bandwidth_mhz // 20) * _LAA_SLOPE_MBPS
 
 
 def contention_window(profile, stage: int) -> int:
@@ -208,7 +199,7 @@ def padded_airtime_us(psdu_bits: int, rate_mbps: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# presets and key/value serialization
+# presets and INI sections
 # ---------------------------------------------------------------------------
 
 def wifi_default() -> WifiMacProfile:
@@ -244,16 +235,6 @@ def load_preset(name: str):
         raise ConfigError(f"unknown preset {name!r} (choose from {sorted(PRESETS)})") from None
 
 
-def profile_to_text(profile) -> str:
-    """Serialize a profile to a ``key = value`` section ([wifi] or [laa])."""
-    section = "wifi" if isinstance(profile, WifiMacProfile) else "laa"
-    cp = configparser.ConfigParser()
-    cp[section] = {f.name: str(getattr(profile, f.name)) for f in fields(profile)}
-    out = io.StringIO()
-    cp.write(out)
-    return out.getvalue()
-
-
 @cache
 def _converters(cls) -> dict:
     """Parser per text-settable field of a config dataclass: its int, float
@@ -285,18 +266,3 @@ def section_kwargs(cls, section: str, items) -> dict:
 
 PROFILE_SECTIONS = {"wifi": WifiMacProfile, "laa": LaaClassProfile}
 
-
-def profile_from_text(text: str):
-    """Parse a profile serialized by :func:`profile_to_text`."""
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"bad profile text: {exc}") from exc
-    for section, cls in PROFILE_SECTIONS.items():
-        if cp.has_section(section):
-            try:
-                return cls(**section_kwargs(cls, section, cp.items(section)))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid {section} profile: {exc}") from exc
-    raise ConfigError("expected a [wifi] or [laa] section")

@@ -10,7 +10,7 @@ and the recommendation of the better approach for a configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .coex import CoexScenario, capacity_no_coex
 from .errors import InfeasiblePartitionError, InvalidWindowError
@@ -198,27 +198,26 @@ class DfmPartition:
 
     wifi_subchannels: tuple[int, ...]
     laa_carriers: int
-    channel_bandwidth_mhz: int = field(default=0)
 
     def __post_init__(self):
         if any(w not in STANDARD_WIFI_WIDTHS for w in self.wifi_subchannels):
             raise InfeasiblePartitionError("non-standard Wi-Fi subchannel width")
         if self.laa_carriers < 0:
             raise InfeasiblePartitionError("negative carrier count")
-        total = sum(self.wifi_subchannels) + 20 * self.laa_carriers
-        if self.channel_bandwidth_mhz == 0:
-            object.__setattr__(self, "channel_bandwidth_mhz", total)
-        elif total != self.channel_bandwidth_mhz:
-            raise InfeasiblePartitionError(
-                f"partition covers {total} MHz of a {self.channel_bandwidth_mhz} MHz channel")
 
     @property
     def laa_bandwidth_mhz(self) -> int:
         return 20 * self.laa_carriers
 
+    @property
+    def channel_bandwidth_mhz(self) -> int:
+        return sum(self.wifi_subchannels) + self.laa_bandwidth_mhz
+
 
 def dfm_partition(channel_bw_mhz: int, wifi_ratio: float) -> DfmPartition:
     """Greedy largest-first split of the Wi-Fi share into standard widths."""
+    if channel_bw_mhz % 20:
+        raise InfeasiblePartitionError(f"{channel_bw_mhz} MHz is not a multiple of 20 MHz")
     share = channel_bw_mhz * wifi_ratio
     share_mhz = round(share)
     if abs(share - share_mhz) > 1e-6 or share_mhz % 20:
@@ -234,8 +233,7 @@ def dfm_partition(channel_bw_mhz: int, wifi_ratio: float) -> DfmPartition:
         while left >= width:
             widths.append(width)
             left -= width
-    return DfmPartition(tuple(widths), (channel_bw_mhz - share_mhz) // 20,
-                        channel_bw_mhz)
+    return DfmPartition(tuple(widths), (channel_bw_mhz - share_mhz) // 20)
 
 
 def dfm_capacities(partition: DfmPartition, scenario: CoexScenario,

@@ -16,7 +16,8 @@ identical results and traces.
 Event kinds, in tie-break order at equal times:
 
 - ``WINDOW_BOUNDARY``: a Wi-Fi window closes; the CTS is scheduled.
-- ``CTS_DUE``: the CTS-to-self goes out and reserves the scheduled window.
+- ``CTS_DUE``: the CTS-to-self goes out and reserves the scheduled window,
+  whose deterministic bursts are accounted (and traced) at once.
 - ``NAV_EXPIRY``: the scheduled window ends and a Wi-Fi window opens.
 - ``BEACON_DUE``: a beacon becomes pending; it takes the next access.
 - ``BACKOFF_EXPIRY``: DIFS and the backoff have elapsed; the AP sends a
@@ -24,7 +25,6 @@ Event kinds, in tie-break order at equal times:
 - ``BEACON_END``: the beacon leaves the air and the next access starts.
 - ``ACK_END``: the block-ACK ends the data exchange (data frame, SIFS,
   block-ACK: one event) and the next access starts.
-- ``LAA_BURST_END``: a scheduled burst ends (traced runs only).
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import numpy as np
 
 from .coex import LAA_EFFICIENCY
 from .errors import ConfigError
-from .params import (DEFAULT_RATE_TABLE, LAA_SLOT_US, NON_HT_PREAMBLE_US,
-                     LaaClassProfile, WifiMacProfile, laa_class1,
-                     max_mpdus_per_burst, padded_airtime_us)
+from .params import (LAA_SLOT_US, NON_HT_PREAMBLE_US, LaaClassProfile,
+                     WifiMacProfile, laa_class1, laa_rate, max_mpdus_per_burst,
+                     padded_airtime_us, wifi_rate)
 from .sharing import DtmSchedule, cts_airtime
 
 DEFAULT_SEED = 12345
@@ -58,7 +58,7 @@ def _ns(us: float) -> int:
 # Events are (time_ns, kind, seq, payload) tuples; seq is unique, so the
 # queue orders by time, then kind, then push order.
 (WINDOW_BOUNDARY, CTS_DUE, NAV_EXPIRY, BEACON_DUE, BACKOFF_EXPIRY, BEACON_END,
- ACK_END, LAA_BURST_END) = range(8)
+ ACK_END) = range(7)
 
 # backoff counters drawn per generator call; the draws are used one per
 # access in time order, so the block size never changes a counter
@@ -97,17 +97,26 @@ class SimConfig:
             raise ConfigError("dtm mode needs t_wifi_us and t_laa_us")
         if self.mode == "dfm" and (self.t_wifi_us is not None or self.t_laa_us is not None):
             raise ConfigError("dfm mode reads no t_wifi_us or t_laa_us")
-        # the event loop keeps whole-ns time and steps by the last three periods
+        # the event loop keeps whole-ns time and steps by the beacon interval
+        # and both slots; a SIFS of 1 ns or more puts each CTS after the
+        # bursts of the window before it, in time and in the trace
         for name, value, least_ns in (
                 ("t_wifi_us", self.t_wifi_us, 0), ("t_laa_us", self.t_laa_us, 0),
                 ("warmup_us", self.warmup_us, 0), ("measure_us", self.measure_us, 1),
                 ("beacon_interval_us", self.beacon_interval_us, 1),
                 ("wifi slot_us", self.wifi.slot_us, 1),
+                ("wifi sifs_us", self.wifi.sifs_us, 1),
                 ("laa laa_slot_us", self.laa.laa_slot_us, 1)):
             if value is not None and not (math.isfinite(value) and _ns(value) >= least_ns):
                 raise ConfigError(f"{name} must be a finite duration of at least "
                                   f"{least_ns} ns, got {value}")
         if self.payload_bytes is not None:
+            if self.wifi.payload_bytes not in (WifiMacProfile.payload_bytes,
+                                               self.payload_bytes):
+                raise ConfigError(
+                    f"the payload has more than one source: payload_bytes="
+                    f"{self.payload_bytes} and the wifi profile's "
+                    f"{self.wifi.payload_bytes}")
             object.__setattr__(self, "wifi",
                                replace(self.wifi, payload_bytes=self.payload_bytes))
 
@@ -170,8 +179,8 @@ class _Simulation:
         self.cfg = config
         w = config.wifi
         self.wifi = w
-        self.rate = DEFAULT_RATE_TABLE.wifi_rate(config.bandwidth_mhz)
-        self.laa_rate = DEFAULT_RATE_TABLE.laa_rate(config.bandwidth_mhz)
+        self.rate = wifi_rate(config.bandwidth_mhz)
+        self.laa_rate = laa_rate(config.bandwidth_mhz)
         self.n_full = max_mpdus_per_burst(w, self.rate, w.max_ppdu_us)
 
         self.difs_ns = _ns(w.difs_us)
@@ -228,8 +237,8 @@ class _Simulation:
 
     # the per-exchange handlers push with heappush directly and test
     # self.tracing before calling _log, which saves a call on each event
-    def _push(self, time_ns: int, kind: int, payload: tuple = ()):
-        heappush(self.heap, (time_ns, kind, next(self._seq), payload))
+    def _push(self, time_ns: int, kind: int):
+        heappush(self.heap, (time_ns, kind, next(self._seq), ()))
 
     def _log(self, t_ns: int, node: str, kind: str, dur_ns: int, outcome: str):
         if self.tracing:
@@ -316,17 +325,14 @@ class _Simulation:
         self.nav_total_ns += self.t_laa_ns
         for offset, dur in self.laa_bursts:
             start = laa_start + offset
-            # scheduled bursts are deterministic once reserved; account the
-            # measured share now, the end event exists for the trace only
+            # scheduled bursts are deterministic once reserved, so account
+            # the measured share now; nothing else is logged before the NAV
+            # expires, so logging each burst now keeps the trace order
             lo, hi = max(start, self.m0), min(start + dur, self.m1)
             self.laa_airtime_ns += max(0, hi - lo)
-            if self.cfg.collect_trace:
-                self._push(start + dur, LAA_BURST_END, (start, dur))
+            if self.tracing and start + dur <= self.m1:
+                self._log(start, "enb", "laa-burst", dur, "ok")
         self._push(laa_start + self.t_laa_ns, NAV_EXPIRY)
-
-    def _on_laa_burst_end(self, t_ns: int, payload: tuple):
-        start, dur = payload
-        self._log(start, "enb", "laa-burst", dur, "ok")
 
     def _on_nav_expiry(self, t_ns: int, payload: tuple):
         self._begin_wifi_window(t_ns)
@@ -355,7 +361,7 @@ class _Simulation:
         handlers = (self._on_window_boundary, self._on_cts_due,
                     self._on_nav_expiry, self._on_beacon_due,
                     self._on_backoff_expiry, self._on_beacon_end,
-                    self._on_ack_end, self._on_laa_burst_end)
+                    self._on_ack_end)
         while self.heap:
             t_ns, kind, _, payload = heappop(self.heap)
             if t_ns > self.m1:

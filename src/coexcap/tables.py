@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from . import sharing
 from .coex import CoexScenario, capacity_no_coex, coexistence_throughputs
 from .errors import EmptyBurstError, InfeasiblePartitionError
-from .params import DEFAULT_RATE_TABLE, laa_class1, laa_class4, wifi_default
+from .params import (LAA_RATES_MBPS, WIFI_RATES_MBPS, laa_class1, laa_class4,
+                     wifi_default)
 from .sharing import (DtmSchedule, best_dma, dfm_capacities, dfm_partition,
                       dtm_capacities, effective_channel_usage, windowed_capacity)
 from .sim import DEFAULT_SEED, SimConfig, run_simulation
@@ -42,14 +43,8 @@ def scenario_for(bandwidth_mhz: int, laa_class: int = 1, payload_bytes: int = 15
 
 def table1_rows():
     columns = ["bandwidth_mhz", "wifi_rate_mbps", "laa_rate_mbps"]
-    rows = []
-    widths = sorted(set(DEFAULT_RATE_TABLE.wifi_rates)
-                    | set(DEFAULT_RATE_TABLE.laa_rates))
-    for bw in widths:
-        rows.append([bw,
-                     DEFAULT_RATE_TABLE.wifi_rates.get(bw, ""),
-                     DEFAULT_RATE_TABLE.laa_rates.get(bw, "")])
-    return columns, rows
+    return columns, [[bw, WIFI_RATES_MBPS.get(bw, ""), LAA_RATES_MBPS.get(bw, "")]
+                     for bw in sorted(WIFI_RATES_MBPS.keys() | LAA_RATES_MBPS.keys())]
 
 
 def wifi_nc_capacity(bandwidth_mhz: int, payload_bytes: int) -> float:
@@ -182,21 +177,20 @@ def sweep_rows(spec: SweepSpec):
                 scenario = scenario_for(bw, cls, payload)
                 for ratio in spec.ratios:
                     for regime in spec.regimes:
-                        rows.append(_sweep_point(scenario, bw, ratio, cls,
-                                                 payload, regime, spec))
+                        point = _sweep_point(scenario, bw, ratio, regime, spec)
+                        c_w, c_l = point or (0.0, 0.0)
+                        rows.append([bw, ratio, cls, payload, regime, round(c_w, 2),
+                                     round(c_l, 2), round(c_w + c_l, 2),
+                                     point is not None])
     return columns, rows
 
 
-def _sweep_point(scenario, bw, ratio, cls, payload, regime, spec):
+def _sweep_point(scenario, bw, ratio, regime, spec):
+    """(c_w, c_l) of one regime at one grid point, or None where DFM is infeasible."""
     if regime == "coex":
-        c_w, c_l = coexistence_throughputs(scenario)
-        return [bw, ratio, cls, payload, regime,
-                round(c_w, 2), round(c_l, 2), round(c_w + c_l, 2), True]
+        return coexistence_throughputs(scenario)
     if regime == "nc":
-        c_w = capacity_no_coex("wifi", scenario)
-        c_l = capacity_no_coex("laa", scenario)
-        return [bw, ratio, cls, payload, regime,
-                round(c_w, 2), round(c_l, 2), round(c_w + c_l, 2), True]
+        return capacity_no_coex("wifi", scenario), capacity_no_coex("laa", scenario)
     if regime == "dtm":
         if spec.t_wifi_us is not None:
             t_w = spec.t_wifi_us
@@ -209,10 +203,8 @@ def _sweep_point(scenario, bw, ratio, cls, payload, regime, spec):
         try:
             report = dfm_capacities(dfm_partition(bw, ratio), scenario)
         except InfeasiblePartitionError:
-            return [bw, ratio, cls, payload, regime, 0.0, 0.0, 0.0, False]
-    return [bw, ratio, cls, payload, regime,
-            round(report.c_w_mbps, 2), round(report.c_l_mbps, 2),
-            round(report.aggregated_mbps, 2), True]
+            return None
+    return report.c_w_mbps, report.c_l_mbps
 
 
 def usage_curve_rows(combined_windows_us):
@@ -231,7 +223,8 @@ def window_efficiency_rows(windows_us, bandwidth_mhz: int = 80,
     finish every pending burst.
     """
     columns = ["window_us", "rat", "laa_class", "efficiency"]
-    scen1 = scenario_for(bandwidth_mhz, 1, payload_bytes)
+    scenarios = {cls: scenario_for(bandwidth_mhz, cls, payload_bytes) for cls in (1, 4)}
+    scen1 = scenarios[1]
     rows = []
     for window in windows_us:
         period = 2 * window + sharing.DEFAULT_DOWNTIME_US
@@ -239,8 +232,7 @@ def window_efficiency_rows(windows_us, bandwidth_mhz: int = 80,
         windowed_w = windowed_capacity("wifi", window, scen1) * share
         ideal_w = capacity_no_coex("wifi", scen1) * share
         rows.append([window, "wifi", "", round(windowed_w / ideal_w, 6)])
-        for cls in (1, 4):
-            scen = scenario_for(bandwidth_mhz, cls, payload_bytes)
+        for cls, scen in scenarios.items():
             windowed_l = windowed_capacity("laa", window, scen) * share
             ideal_l = capacity_no_coex("laa", scen) * share
             rows.append([window, "laa", cls, round(windowed_l / ideal_l, 6)])

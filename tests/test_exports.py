@@ -1,7 +1,9 @@
-"""Every name the package exports is read by the program itself.
+"""Every name the package exports or defines publicly is read by the program.
 
-A name exported from ``coexcap/__init__.py`` needs at least one reference
-in the package's other modules, ``scripts/`` or ``perfbench/`` (test files
+A name exported from ``coexcap/__init__.py``, and every module-level
+``def`` or ``class`` in ``src/coexcap/*.py`` whose name has no leading
+underscore, needs at least one reference in the package's modules
+(``__init__.py`` excluded), ``scripts/`` or ``perfbench/`` (test files
 excluded). Imports and the name's own ``def``/``class``/assignment do not
 count, so a function that only the test suite calls shows up here.
 """
@@ -18,6 +20,15 @@ def exported_names():
     return {alias.asname or alias.name
             for node in tree.body if isinstance(node, ast.ImportFrom)
             for alias in node.names}
+
+
+def public_definitions():
+    """(module, name) of every public module-level def and class."""
+    return {(path.name, node.name)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
 
 
 def program_files():
@@ -44,3 +55,12 @@ def test_every_export_has_a_program_reference():
     assert program_files()
     unread = sorted(exported_names() - referenced_names())
     assert unread == [], f"exported but read only by tests: {unread}"
+
+
+def test_every_public_definition_has_a_program_reference():
+    definitions = public_definitions()
+    assert definitions
+    seen = referenced_names()
+    unread = sorted(f"{module}:{name}" for module, name in definitions
+                    if name not in seen)
+    assert unread == [], f"defined but read only by tests: {unread}"

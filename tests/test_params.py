@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coexcap.errors import ConfigError, UnsupportedBandwidthError
-from coexcap.params import (DEFAULT_RATE_TABLE, PRESETS, WifiMacProfile,
+from coexcap.params import (LAA_RATES_MBPS, WIFI_RATES_MBPS, WifiMacProfile,
                             ampdu_limit_bytes, contention_window, laa_class1,
-                            laa_class4, load_preset, max_mpdus_per_burst,
-                            profile_from_text, profile_to_text, wifi_default)
+                            laa_class4, laa_rate, load_preset, max_mpdus_per_burst,
+                            wifi_default, wifi_rate)
 from oracles import scan_max_mpdus
 
 
@@ -47,36 +47,36 @@ def test_profile_validation_rejects_inconsistency():
 
 
 def test_peak_phy_rate_table_values():
-    assert DEFAULT_RATE_TABLE.wifi_rate(80) == 433.3
-    assert DEFAULT_RATE_TABLE.laa_rate(20) == 75.4
-    assert DEFAULT_RATE_TABLE.wifi_rate(160) == 866.7
+    assert wifi_rate(80) == 433.3
+    assert laa_rate(20) == 75.4
+    assert wifi_rate(160) == 866.7
 
 
 def test_peak_phy_rate_laa_extrapolation():
     # least-squares per-carrier slope over the five table entries
-    pts = [(bw // 20, r) for bw, r in DEFAULT_RATE_TABLE.laa_rates.items()]
+    pts = [(bw // 20, r) for bw, r in LAA_RATES_MBPS.items()]
     slope = sum(n * r for n, r in pts) / sum(n * n for n, _ in pts)
-    assert DEFAULT_RATE_TABLE.laa_rate(120) == pytest.approx(6 * slope, rel=1e-12)
-    assert DEFAULT_RATE_TABLE.laa_rate(120) == pytest.approx(452.3, abs=0.1)
+    assert laa_rate(120) == pytest.approx(6 * slope, rel=1e-12)
+    assert laa_rate(120) == pytest.approx(452.3, abs=0.1)
 
 
 def test_peak_phy_rate_errors():
     with pytest.raises(UnsupportedBandwidthError):
-        DEFAULT_RATE_TABLE.wifi_rate(60)
+        wifi_rate(60)
     with pytest.raises(UnsupportedBandwidthError):
-        DEFAULT_RATE_TABLE.laa_rate(30)
+        laa_rate(30)
 
 
 def test_rates_increase_with_bandwidth():
-    wifi_bw = sorted(DEFAULT_RATE_TABLE.wifi_rates)
+    wifi_bw = sorted(WIFI_RATES_MBPS)
     for a, b in zip(wifi_bw, wifi_bw[1:]):
-        assert DEFAULT_RATE_TABLE.wifi_rate(a) < DEFAULT_RATE_TABLE.wifi_rate(b)
+        assert wifi_rate(a) < wifi_rate(b)
     for bw in range(20, 200, 20):
-        assert DEFAULT_RATE_TABLE.laa_rate(bw) < DEFAULT_RATE_TABLE.laa_rate(bw + 20)
+        assert laa_rate(bw) < laa_rate(bw + 20)
 
 
 def test_laa_rates_near_linear():
-    for bw, rate in DEFAULT_RATE_TABLE.laa_rates.items():
+    for bw, rate in LAA_RATES_MBPS.items():
         assert rate == pytest.approx((bw // 20) * 75.4, rel=0.01)
 
 
@@ -145,14 +145,3 @@ def test_presets_exist():
     assert load_preset("table5-class4") == laa_class4()
     with pytest.raises(ConfigError):
         load_preset("table99")
-
-
-def test_profile_text_round_trip():
-    for name in PRESETS:
-        profile = load_preset(name)
-        assert profile_from_text(profile_to_text(profile)) == profile
-
-
-def test_profile_text_rejects_unknown_key():
-    with pytest.raises(ConfigError):
-        profile_from_text("[wifi]\nwarp_factor = 9\n")

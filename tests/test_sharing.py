@@ -173,6 +173,7 @@ def test_dfm_partition_examples():
     part = dfm_partition(80, 0.75)
     assert part.wifi_subchannels == (40, 20)
     assert part.laa_carriers == 1
+    assert part.channel_bandwidth_mhz == 80
     part = dfm_partition(160, 0.75)
     assert part.wifi_subchannels == (80, 40)
     assert part.laa_carriers == 2
@@ -186,6 +187,8 @@ def test_dfm_partition_infeasible():
         dfm_partition(40, 0.25)
     with pytest.raises(InfeasiblePartitionError):
         dfm_partition(20, 0.5)
+    with pytest.raises(InfeasiblePartitionError):
+        dfm_partition(50, 0.4)      # no whole number of 20 MHz carriers
 
 
 @given(st.sampled_from([40, 80, 160]), st.integers(min_value=1, max_value=7))

@@ -10,7 +10,7 @@ import pytest
 from conftest import make_scenario
 from coexcap.coex import LAA_EFFICIENCY, capacity_no_coex
 from coexcap.errors import ConfigError, InvalidWindowError
-from coexcap.params import DEFAULT_RATE_TABLE, WifiMacProfile, laa_class4
+from coexcap.params import WifiMacProfile, laa_class4, laa_rate, wifi_default
 from coexcap.sharing import cts_downtime
 from coexcap import sim
 from coexcap.sim import SimConfig, _Simulation, laa_burst_layout, run_simulation
@@ -52,9 +52,15 @@ def test_config_validation():
                dict(beacon_interval_us=float("inf")),
                dict(warmup_us=float("nan")),
                dict(measure_us=float("inf")),
-               dict(laa=replace(laa_class4(), laa_slot_us=1e-4))):
+               dict(laa=replace(laa_class4(), laa_slot_us=1e-4)),
+               # two payload sources that disagree
+               dict(wifi=replace(wifi_default(), payload_bytes=9000),
+                    payload_bytes=1500)):
         with pytest.raises(ConfigError):
             SimConfig(**kw)
+    # the default profile takes the payload, and a copy keeps it
+    config = SimConfig(payload_bytes=3000)
+    assert replace(config, seed=4).wifi.payload_bytes == 3000
 
 
 def test_determinism_bit_identical():
@@ -101,6 +107,9 @@ def test_windows_below_one_ns_rejected():
     # both windows round to 0 ns, so no schedule exists to reserve
     with pytest.raises(InvalidWindowError):
         run_simulation(dtm_config(t_wifi_us=0.0, t_laa_us=1e-4))
+    # a 0 ns SIFS would send the CTS in the instant the last burst ends
+    with pytest.raises(ConfigError):
+        dtm_config(t_wifi_us=0.0, wifi=replace(wifi_default(), sifs_us=4e-4))
 
 
 def test_dtm_window_airtime_share():
@@ -166,7 +175,7 @@ def test_laa_window_airtime_matches_simulation():
     period = 5000.0 + 5000.0 + cts_downtime(6.0)
     airtime_ns = sum(d for _, d in laa_burst_layout(
         5000.0, cfg.laa.txop_shared_us, cfg.laa.laa_slot_us))
-    expected = (LAA_EFFICIENCY * DEFAULT_RATE_TABLE.laa_rate(80)
+    expected = (LAA_EFFICIENCY * laa_rate(80)
                 * (airtime_ns / 1000) / period)
     assert result.laa_airtime_throughput_mbps == pytest.approx(expected, rel=0.01)
 
