@@ -298,10 +298,7 @@ def main(argv=None) -> int:
         if "payload" in args and args.payload <= 0:
             raise ConfigError(f"--payload must be positive, got {args.payload}")
         return args.func(args)
-    except CoexcapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CoexcapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -69,12 +69,6 @@ class Equilibrium:
     residual: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {"tau_w": self.tau_w, "tau_l": self.tau_l,
-                "pc_w": self.pc_w, "pc_l": self.pc_l,
-                "pb_w": self.pb_w, "pb_l": self.pb_l,
-                "residual": self.residual, "iterations": self.iterations}
-
 
 @dataclass(frozen=True)
 class EventProbs:
@@ -90,10 +84,6 @@ class EventProbs:
     def total(self) -> float:
         return (self.p_idle + self.ps_w + self.ps_l
                 + self.pc_ww + self.pc_ll + self.pc_wl)
-
-    def to_dict(self) -> dict:
-        return {"p_idle": self.p_idle, "ps_w": self.ps_w, "ps_l": self.ps_l,
-                "pc_ww": self.pc_ww, "pc_ll": self.pc_ll, "pc_wl": self.pc_wl}
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from functools import cache
 from .errors import ConfigError, UnsupportedBandwidthError
 
 AMPDU_HARD_LIMIT_MPDUS = 64      # block ACK window
+AMPDU_DELIMITER_BYTES = 4        # MPDU delimiter ahead of each A-MPDU subframe
 AMPDU_MAX_EXP = 7
 OFDM_SYMBOL_US = 4.0             # symbol duration used for pad alignment
 NON_HT_PREAMBLE_US = 20.0        # legacy training fields + L-SIG of basic-rate frames
@@ -56,7 +57,6 @@ class WifiMacProfile:
     ampdu_exp: int = 7
     max_mpdus: int = 64
     phy_header_us: float = 40.0
-    delimiter_bytes: int = 4
     mac_header_bytes: int = 34
     llc_header_bytes: int = 8
     payload_bytes: int = 1500
@@ -88,7 +88,7 @@ class WifiMacProfile:
     @property
     def subframe_bytes(self) -> int:
         """One A-MPDU subframe: delimiter + MPDU."""
-        return self.delimiter_bytes + self.mpdu_bytes
+        return AMPDU_DELIMITER_BYTES + self.mpdu_bytes
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,13 @@ def contention_window(profile, stage: int) -> int:
 
 
 def ampdu_limit_bytes(ampdu_exp: int, mpdu_length_bytes: int) -> int:
-    """Aggregated burst size bound: min(2**(13+exp) - 1, 64 * (mpdu + 4 B delimiter))."""
+    """Aggregated burst size bound: min(2**(13+exp) - 1, 64 * (mpdu + delimiter))."""
     if not 0 <= ampdu_exp <= AMPDU_MAX_EXP:
         raise ValueError("ampdu_exp out of [0, 7]")
     if mpdu_length_bytes <= 0:
         raise ValueError("mpdu_length_bytes must be positive")
     return min(2 ** (13 + ampdu_exp) - 1,
-               AMPDU_HARD_LIMIT_MPDUS * (mpdu_length_bytes + 4))
+               AMPDU_HARD_LIMIT_MPDUS * (mpdu_length_bytes + AMPDU_DELIMITER_BYTES))
 
 
 def max_mpdus_per_burst(profile: WifiMacProfile, data_rate_mbps: float,
@@ -178,8 +178,6 @@ def max_mpdus_per_burst(profile: WifiMacProfile, data_rate_mbps: float,
     """
     if data_rate_mbps <= 0:
         raise ValueError("data_rate_mbps must be positive")
-    if duration_cap_us <= 0:
-        return 0
     cap = min(profile.max_ppdu_us, duration_cap_us)
     airtime_per_mpdu = profile.subframe_bytes * 8 / data_rate_mbps
     budget = cap - profile.phy_header_us
@@ -188,7 +186,7 @@ def max_mpdus_per_burst(profile: WifiMacProfile, data_rate_mbps: float,
     by_airtime = int(budget / airtime_per_mpdu + 1e-9)
     limit = ampdu_limit_bytes(profile.ampdu_exp, profile.mpdu_bytes)
     by_bytes = limit // profile.subframe_bytes
-    return max(0, min(profile.max_mpdus, by_airtime, by_bytes))
+    return min(profile.max_mpdus, by_airtime, by_bytes)
 
 
 def padded_airtime_us(psdu_bits: int, rate_mbps: float) -> float:

@@ -133,8 +133,6 @@ class DtmSchedule:
     @property
     def reservations(self) -> int:
         """CTS frames needed to hold the scheduled window (chained if > 32.767 ms)."""
-        if self.t_laa_us == 0:
-            return 0
         return math.ceil(self.t_laa_us / MAX_CTS_RESERVATION_US)
 
 
@@ -271,10 +269,8 @@ class BestDmaResult:
         return self.dfm is not None
 
 
-def pick_best(dtm_utility: float, dfm_utility: float | None) -> tuple[str, bool]:
+def pick_best(dtm_utility: float, dfm_utility: float) -> tuple[str, bool]:
     """Argmax with a deterministic tie-break to the more predictable split."""
-    if dfm_utility is None:
-        return "dtm", False
     if math.isclose(dtm_utility, dfm_utility, rel_tol=1e-12, abs_tol=1e-12):
         return "dfm", True
     return ("dtm", False) if dtm_utility > dfm_utility else ("dfm", False)

@@ -15,10 +15,10 @@ identical results and traces.
 
 Event kinds, in tie-break order at equal times:
 
-- ``WINDOW_BOUNDARY``: a Wi-Fi window closes; the CTS is scheduled.
-- ``CTS_DUE``: the CTS-to-self goes out and reserves the scheduled window,
-  whose deterministic bursts are accounted (and traced) at once.
-- ``NAV_EXPIRY``: the scheduled window ends and a Wi-Fi window opens.
+- ``CTS_DUE``: one SIFS after a Wi-Fi window closes, the CTS-to-self goes
+  out and reserves the scheduled window, whose deterministic bursts are
+  accounted (and traced) at once; the next Wi-Fi window opens when the
+  NAV expires.
 - ``BEACON_DUE``: a beacon becomes pending; it takes the next access.
 - ``BACKOFF_EXPIRY``: DIFS and the backoff have elapsed; the AP sends a
   beacon or the largest A-MPDU whose exchange fits in the window.
@@ -57,8 +57,7 @@ def _ns(us: float) -> int:
 # Event kinds, numbered in tie-break order: control traffic before data.
 # Events are (time_ns, kind, seq, payload) tuples; seq is unique, so the
 # queue orders by time, then kind, then push order.
-(WINDOW_BOUNDARY, CTS_DUE, NAV_EXPIRY, BEACON_DUE, BACKOFF_EXPIRY, BEACON_END,
- ACK_END) = range(7)
+CTS_DUE, BEACON_DUE, BACKOFF_EXPIRY, BEACON_END, ACK_END = range(5)
 
 # backoff counters drawn per generator call; the draws are used one per
 # access in time order, so the block size never changes a counter
@@ -126,7 +125,6 @@ class SimCounts:
     transmissions: int
     cts_sent: int
     beacons: int
-    window_overruns: int
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,9 @@ class SimResult:
                 "transmissions": self.counts.transmissions,
                 "cts_sent": self.counts.cts_sent,
                 "beacons": self.counts.beacons,
-                "window_overruns": self.counts.window_overruns,
+                # no exchange outlasts its window; the key stays because
+                # the CLI's JSON record and every digest over it carry it
+                "window_overruns": 0,
                 "nav_total_us": self.nav_total_us,
                 "wifi_window_us": self.wifi_window_us,
                 "measure_us": self.measure_us,
@@ -223,13 +223,12 @@ class _Simulation:
         self._seq = count()
         self.window_end = math.inf
         self.counter: int | None = None
-        self.busy_until = 0
         self.beacon_pending = False
         self.bits = 0
         self.laa_airtime_ns = 0
         self.nav_total_ns = 0
         self.window_ns = 0
-        self.tx = self.cts = self.beacons = self.overruns = 0
+        self.tx = self.cts = self.beacons = 0
         self.tracing = config.collect_trace
         self.trace: list[str] = []
 
@@ -285,13 +284,11 @@ class _Simulation:
     def _on_beacon_end(self, t_ns: int, payload: tuple):
         self.beacons += 1
         self.beacon_pending = False
-        self.busy_until = t_ns
         self._log(t_ns - self.beacon_air_ns, "ap", "beacon", self.beacon_air_ns, "ok")
         self._start_access(t_ns)
 
     def _on_ack_end(self, t_ns: int, payload: tuple):
         n = payload[0]
-        self.busy_until = t_ns
         self.tx += 1
         if self.m0 <= t_ns <= self.m1:
             self.bits += n * self.mpdu_bits
@@ -307,16 +304,10 @@ class _Simulation:
         self.window_end = t_ns + self.t_wifi_ns
         lo, hi = max(t_ns, self.m0), min(self.window_end, self.m1)
         self.window_ns += max(0, int(hi - lo))
-        self._push(int(self.window_end), WINDOW_BOUNDARY)
+        # every exchange and beacon ends by the window end, so the CTS goes
+        # out one SIFS after it
+        self._push(self.window_end + self.sifs_ns, CTS_DUE)
         self._start_access(t_ns)
-
-    def _on_window_boundary(self, t_ns: int, payload: tuple):
-        # the AP predicts acknowledgment completions and never preempts them:
-        # the CTS goes out one SIFS after the boundary or the last in-flight
-        # exchange, whichever is later
-        if self.busy_until > t_ns:
-            self.overruns += 1
-        self._push(max(t_ns, self.busy_until) + self.sifs_ns, CTS_DUE)
 
     def _on_cts_due(self, t_ns: int, payload: tuple):
         self._log(t_ns, "ap", "cts", self.cts_air_ns, "ok")
@@ -332,10 +323,9 @@ class _Simulation:
             self.laa_airtime_ns += max(0, hi - lo)
             if self.tracing and start + dur <= self.m1:
                 self._log(start, "enb", "laa-burst", dur, "ok")
-        self._push(laa_start + self.t_laa_ns, NAV_EXPIRY)
-
-    def _on_nav_expiry(self, t_ns: int, payload: tuple):
-        self._begin_wifi_window(t_ns)
+        # under the NAV only beacons fall due, and they read no window
+        # state, so the next window can open now
+        self._begin_wifi_window(laa_start + self.t_laa_ns)
 
     # -- top level ----------------------------------------------------------
 
@@ -358,8 +348,7 @@ class _Simulation:
             self._start_access(self.m0)
 
         # indexed by event kind, in the order of the kind constants
-        handlers = (self._on_window_boundary, self._on_cts_due,
-                    self._on_nav_expiry, self._on_beacon_due,
+        handlers = (self._on_cts_due, self._on_beacon_due,
                     self._on_backoff_expiry, self._on_beacon_end,
                     self._on_ack_end)
         while self.heap:
@@ -373,7 +362,7 @@ class _Simulation:
             wifi_throughput_mbps=self.bits / measure_us,
             laa_airtime_throughput_mbps=LAA_EFFICIENCY * self.laa_rate
             * (self.laa_airtime_ns / _NS) / measure_us,
-            counts=SimCounts(self.tx, self.cts, self.beacons, self.overruns),
+            counts=SimCounts(self.tx, self.cts, self.beacons),
             seed=self.cfg.seed,
             measure_us=measure_us,
             nav_total_us=self.nav_total_ns / _NS,

@@ -250,6 +250,8 @@ SIMULATION_KEYS = ("mode", "bandwidth_mhz", "payload_bytes", "t_wifi_us", "t_laa
                    "seed", "warmup_us", "measure_us", "beacon_interval_us",
                    "beacon_bytes", "wifi_preset", "laa_preset")
 FUZZ_PROFILES = {"wifi": wifi_default(), "laa": laa_class1()}
+# keys an earlier profile read: whatever the value, they are rejected as unknown
+RETIRED_KEYS = (("wifi", "delimiter_bytes"),)
 
 
 def fuzz_config(section, key, value):
@@ -282,13 +284,15 @@ def deadline():
 @pytest.mark.parametrize("value", ["abc", "1.5", "nan", "inf", "-1", "0"])
 @pytest.mark.parametrize("section,key", [("simulation", k) for k in SIMULATION_KEYS]
                          + [(side, f.name) for side, profile in FUZZ_PROFILES.items()
-                            for f in dataclasses.fields(profile)])
+                            for f in dataclasses.fields(profile)] + list(RETIRED_KEYS))
 def test_simulate_never_crashes_on_config_value(tmp_path, capsys, deadline,
                                                 section, key, value):
     cfg = tmp_path / "fuzz.ini"
     cfg.write_text(fuzz_config(section, key, value))
     status = run_cli("simulate", str(cfg), "--out", str(tmp_path / "out.csv"))
     err = capsys.readouterr().err
+    if (section, key) in RETIRED_KEYS:
+        assert status == 1 and f"unknown {section} parameter" in err, err
     if status != 0:
         assert status == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -302,6 +306,7 @@ def test_simulate_never_crashes_on_config_value(tmp_path, capsys, deadline,
     ("[simulation]\n\n[laa]\nmultichannel_cca = type-a2\n", "multichannel_cca"),
     ("[simulation]\n\n[wifi]\npad_symbol_us = 4\n", "pad_symbol_us"),
     ("[simulation]\n\n[wifi]\nba_phy_header_us = 40\n", "ba_phy_header_us"),
+    ("[simulation]\n\n[wifi]\ndelimiter_bytes = 8\n", "unknown wifi parameter"),
     ("[simulation]\npayload_bytes = 1500\n\n[wifi]\npayload_bytes = 9000\n",
      "[simulation] payload_bytes or [wifi] payload_bytes"),
     ("[simulation]\nt_wifi_us = 5000\n", "dfm mode reads no t_wifi_us"),

@@ -379,16 +379,6 @@ def test_memo_never_keeps_an_error():
             coexistence_throughputs(scen)
 
 
-def test_equilibrium_serialization_layout():
-    eq = solve_equilibrium(make_scenario(80))
-    record = eq.to_dict()
-    assert set(record) == {"tau_w", "tau_l", "pc_w", "pc_l", "pb_w", "pb_l",
-                           "residual", "iterations"}
-    probs = event_probabilities(eq, make_scenario(80))
-    assert set(probs.to_dict()) == {"p_idle", "ps_w", "ps_l", "pc_ww", "pc_ll",
-                                    "pc_wl"}
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo spot checks (full 3-sigma sweep lives in the acceptance suite)
 # ---------------------------------------------------------------------------

@@ -120,6 +120,9 @@ def test_max_mpdus_examples(wifi):
     assert max_mpdus_per_burst(wifi, 433.3, 5484.0) == 64
     assert max_mpdus_per_burst(wifi, 86.7, 5484.0) < 64
     assert max_mpdus_per_burst(wifi, 200.0, 1.0) == 0
+    # a cap at or below zero leaves no airtime once the PHY header is paid
+    assert max_mpdus_per_burst(wifi, 200.0, 0.0) == 0
+    assert max_mpdus_per_burst(wifi, 200.0, -5.0) == 0
 
 
 def test_max_mpdus_matches_linear_scan(wifi):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -11,7 +13,7 @@ from conftest import make_scenario
 from coexcap.coex import LAA_EFFICIENCY, capacity_no_coex
 from coexcap.errors import ConfigError, InvalidWindowError
 from coexcap.params import WifiMacProfile, laa_class4, laa_rate, wifi_default
-from coexcap.sharing import cts_downtime
+from coexcap.sharing import MAX_CTS_RESERVATION_US, cts_airtime, cts_downtime
 from coexcap import sim
 from coexcap.sim import SimConfig, _Simulation, laa_burst_layout, run_simulation
 
@@ -76,7 +78,6 @@ def test_dfm_throughput_near_but_below_analytical():
     assert result.wifi_throughput_mbps < analytical
     assert result.wifi_throughput_mbps == pytest.approx(analytical, rel=0.025)
     assert result.counts.cts_sent == 0
-    assert result.counts.window_overruns == 0
 
 
 def test_beacon_free_run_approaches_analytical():
@@ -118,7 +119,6 @@ def test_dtm_window_airtime_share():
     expected = 5000.0 / (5000.0 + 5000.0 + cts_downtime(6.0))
     assert result.wifi_window_us / result.measure_us == pytest.approx(expected,
                                                                       rel=0.01)
-    assert result.counts.window_overruns == 0
 
 
 def test_nav_accounting():
@@ -134,29 +134,39 @@ def test_long_reservations_are_chained():
     assert result.counts.cts_sent == pytest.approx(2 * cycles, abs=1e-9)
 
 
-def test_overrun_hook_counts_and_delays_cts(monkeypatch):
-    plain = run_simulation(dtm_config(collect_trace=True))
-    on_window_boundary = _Simulation._on_window_boundary
-    boundaries = []
+FAST_TIMING = replace(wifi_default(), sifs_us=0.002, slot_us=0.5)
 
-    def delayed_first_ack(self, t_ns, payload):
-        # fake an uplink overrun: the first window's last exchange ends
-        # 100 us after the boundary
-        if not boundaries:
-            self.busy_until = t_ns + 100_000
-        boundaries.append(t_ns)
-        on_window_boundary(self, t_ns, payload)
 
-    monkeypatch.setattr(_Simulation, "_on_window_boundary", delayed_first_ack)
-    bumped = run_simulation(dtm_config(collect_trace=True))
-    assert plain.counts.window_overruns == 0
-    assert bumped.counts.window_overruns == 1
-    assert bumped.counts.window_overruns <= bumped.counts.cts_sent
-    first_cts_plain = next(l for l in plain.trace if "\tcts\t" in l)
-    first_cts_bumped = next(l for l in bumped.trace if "\tcts\t" in l)
-    t_plain = float(first_cts_plain.split("\t")[0])
-    t_bumped = float(first_cts_bumped.split("\t")[0])
-    assert t_bumped == pytest.approx(t_plain + 100.0, abs=1e-6)
+@pytest.mark.parametrize("kw", [
+    dict(beacon_interval_us=1000.0),
+    dict(beacon_interval_us=1000.0, wifi=FAST_TIMING),
+    dict(t_wifi_us=50.0, wifi=FAST_TIMING),
+    dict(t_laa_us=40_000.0, wifi=FAST_TIMING, warmup_us=0.0),
+], ids=["default", "fast", "fast-50us", "fast-chained"])
+def test_handover_follows_the_window(kw):
+    # the CTS goes out one SIFS after its window closes, and no Wi-Fi
+    # frame is still on the air then
+    cfg = dtm_config(measure_us=300_000.0, collect_trace=True, **kw)
+    result = run_simulation(cfg)
+    cts_ns = round(cts_airtime(cfg.wifi.basic_rate_mbps) * 1000)
+    assert cts_ns == 44_000
+    t_wifi, t_laa, sifs = (round(us * 1000) for us in
+                           (cfg.t_wifi_us, cfg.t_laa_us, cfg.wifi.sifs_us))
+    opens = round(cfg.warmup_us * 1000)
+    seen = Counter()
+    for line in result.trace:
+        t, _, kind, dur, _ = line.split("\t")
+        start, end = round(float(t) * 1000), round((float(t) + float(dur)) * 1000)
+        if kind == "cts":
+            assert start == opens + t_wifi + sifs, line
+            opens = start + cts_ns + t_laa
+        elif kind in ("data", "block-ack", "beacon"):
+            assert opens <= start and end <= opens + t_wifi, line
+        seen[kind] += 1
+    assert seen["cts"] * math.ceil(cfg.t_laa_us / MAX_CTS_RESERVATION_US) \
+        == result.counts.cts_sent
+    if t_wifi > 50_000:
+        assert all(seen[kind] for kind in ("cts", "data", "block-ack", "beacon"))
 
 
 def test_laa_burst_layout_examples():
