@@ -122,8 +122,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep {mode} does not read {' '.join(unread)}")
     for dest, (_, default) in SWEEP_FLAGS.items():
         setattr(args, dest, getattr(args, dest, default))
-    if not all(0.0 < w < math.inf for w in args.windows):
-        raise ConfigError("--windows must be finite and positive, got "
+    # the simulator's 1 ns clock; a sub-normal window's share underflows to 0
+    if not all(0.001 <= w < math.inf for w in args.windows):
+        raise ConfigError("--windows must be finite and at least 0.001 us, got "
                           + " ".join(f"{w:g}" for w in args.windows))
     if args.curve == "usage":
         columns, rows = tables.usage_curve_rows(args.windows)

@@ -3,15 +3,15 @@
 Couples two per-technology backoff chains through collision and
 countdown-blocking probabilities, solves the resulting fixed point, and
 turns the equilibrium into event probabilities, mean slot duration and
-per-technology throughput.  The no-coexistence capacity is the same model
-with the other technology zeroed out.
+per-technology throughput.  The no-coexistence capacity is the same chain
+with no contender, priced in closed form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConvergenceError, DegenerateBlockingError, EmptyBurstError
 from .params import (LaaClassProfile, WifiMacProfile, contention_window,
@@ -91,7 +91,7 @@ class BurstDurations:
     """Event durations in us with the burst bounds they were priced from;
     LAA collisions and successes last the same."""
 
-    n_mpdus: int               # MPDUs per Wi-Fi burst; 0 means no Wi-Fi burst
+    n_mpdus: int               # MPDUs per Wi-Fi burst
     laa_txop_us: float
     ts_w: float
     tc_w: float
@@ -124,11 +124,11 @@ def wifi_collision_duration(scenario: CoexScenario, n_mpdus: int) -> float:
 
 def burst_durations(scenario: CoexScenario, n_mpdus: int,
                     laa_txop_us: float) -> BurstDurations:
-    """Durations of a Wi-Fi burst of ``n_mpdus`` MPDUs (0: no Wi-Fi burst,
-    zero-length legs) and of an LAA burst bounded by ``laa_txop_us``, which
-    adds the slot-alignment wait and lasts the same collided or not."""
-    ts_w = wifi_success_duration(scenario, n_mpdus) if n_mpdus else 0.0
-    tc_w = wifi_collision_duration(scenario, n_mpdus) if n_mpdus else 0.0
+    """Durations of a Wi-Fi burst of ``n_mpdus`` MPDUs and of an LAA burst
+    bounded by ``laa_txop_us``, which adds the slot-alignment wait and lasts
+    the same collided or not."""
+    ts_w = wifi_success_duration(scenario, n_mpdus)
+    tc_w = wifi_collision_duration(scenario, n_mpdus)
     laa_dur = scenario.laa.gamma_us + laa_txop_us
     return BurstDurations(n_mpdus, laa_txop_us, ts_w, tc_w, laa_dur, laa_dur)
 
@@ -283,39 +283,31 @@ def coexistence_throughputs(scenario: CoexScenario) -> tuple[float, float]:
     return throughputs(solve_equilibrium(scenario), scenario, dur)
 
 
-def _lone_equilibrium(alone: CoexScenario) -> Equilibrium:
-    """The fixed point of one station with no contender, without iterating.
-
-    Alone, the station's collision and blocking probabilities do not depend
-    on the transmit rates (both are 0), so the first Picard proposal is the
-    fixed point, and ``solve_equilibrium`` returns that value bit for bit.
-    """
-    tau_w, tau_l = _tau_pair(*coupling_step(0.0, 0.0, alone), alone)
-    return Equilibrium(tau_w, tau_l, *coupling_step(tau_w, tau_l, alone), 0.0, 0)
-
-
 def capacity_no_coex(rat: str, scenario: CoexScenario,
                      tx_duration_cap_us: float | None = None) -> float:
     """Capacity of one RAT operating alone, bursts truncated to the cap.
 
     Wi-Fi truncates by aggregating fewer MPDUs; LAA truncates its burst
-    bound.  Returns 0 when nothing fits the cap.  The lone station's
-    equilibrium is closed form (``_lone_equilibrium``), with no iteration.
+    bound.  Returns 0 when nothing fits the cap.  Alone, a station never
+    collides or defers: it sends in a slot with probability
+    ``tau = 2 / (cw_min + 3)``, and a slot is its burst or an idle slot.
     """
     if rat == "wifi":
-        alone = replace(scenario, n_w=1, n_l=0)
-        n = alone.mpdus_per_burst(tx_duration_cap_us)
+        n = scenario.mpdus_per_burst(tx_duration_cap_us)
         if n == 0:
             return 0.0
-        dur = burst_durations(alone, n, 0.0)
-        return throughputs(_lone_equilibrium(alone), alone, dur)[0]
+        tau = 2.0 / (scenario.wifi.cw_min + 3)
+        t_cs = (tau * wifi_success_duration(scenario, n)
+                + (1.0 - tau) * scenario.wifi.slot_us)
+        return tau * n * scenario.payload_bytes * 8 / t_cs
     if rat == "laa":
-        alone = replace(scenario, n_w=0, n_l=1)
-        txop = alone.laa.txop_shared_us
+        txop = scenario.laa.txop_shared_us
         if tx_duration_cap_us is not None:
             txop = min(txop, tx_duration_cap_us)
         if txop <= 0:
             return 0.0
-        dur = burst_durations(alone, 0, txop)
-        return throughputs(_lone_equilibrium(alone), alone, dur)[1]
+        tau = 2.0 / (scenario.laa.cw_min + 3)
+        t_cs = (tau * (scenario.laa.gamma_us + txop)
+                + (1.0 - tau) * scenario.wifi.slot_us)
+        return LAA_EFFICIENCY * scenario.laa_rate_mbps * (tau * txop) / t_cs
     raise ValueError(f"unknown RAT {rat!r}")

@@ -87,7 +87,8 @@ def windowed_capacity_from(window_us: float, txop_us: float, t_cax_us: float,
     period = txop_us + t_cax_us
     full = math.floor(window_us / period)
     remainder = window_us - full * period
-    capacity = full * (period / window_us) * capacity_fn(txop_us)
+    # no whole period: skip the term, whose 0 * inf is NaN for a sub-normal window
+    capacity = full * (period / window_us) * capacity_fn(txop_us) if full else 0.0
     tail_cap = max(0.0, remainder - t_cax_us)
     if tail_cap > 0.0:
         capacity += (remainder / window_us) * capacity_fn(tail_cap)

@@ -154,18 +154,20 @@ class SimResult:
 
 
 def laa_burst_layout(t_laa_us: float, txop_us: float,
-                     laa_slot_us: float = LAA_SLOT_US) -> list[tuple[int, int]]:
+                     laa_slot_us: float = LAA_SLOT_US,
+                     until_us: float = math.inf) -> list[tuple[int, int]]:
     """Deterministic packing of scheduled bursts into a window.
 
     Bursts are whole slots, at most one TXOP long, with one slot misused
-    between consecutive bursts.  Returns (offset_ns, duration_ns) pairs.
+    between consecutive bursts.  Returns (offset_ns, duration_ns) pairs,
+    leaving out bursts at offsets of ``until_us`` or more.
     """
     window = _ns(t_laa_us)
     txop = _ns(txop_us)
     slot = _ns(laa_slot_us)
     out = []
     pos = 0
-    while window - pos >= slot:
+    while window - pos >= slot and pos < until_us * _NS:
         burst = min(txop, (window - pos) // slot * slot)
         out.append((pos, burst))
         pos += burst + slot
@@ -211,10 +213,12 @@ class _Simulation:
         self.t_wifi_ns = _ns(config.t_wifi_us) if config.t_wifi_us is not None else 0
         self.t_laa_ns = _ns(config.t_laa_us) if config.t_laa_us is not None else 0
         # every scheduled window has the same length, hence the same layout
-        # and the same CTS count
+        # and the same CTS count; a scheduled window starts after m0, so a
+        # burst at an offset of measure_us or more starts after m1
         self.laa_bursts = laa_burst_layout(self.t_laa_ns / _NS,
                                            config.laa.txop_shared_us,
-                                           config.laa.laa_slot_us)
+                                           config.laa.laa_slot_us,
+                                           config.measure_us)
         self.cts_per_window = (DtmSchedule(self.t_wifi_ns / _NS,
                                            self.t_laa_ns / _NS).reservations
                                if self.windowed else 0)

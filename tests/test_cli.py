@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import signal
 
 import pytest
@@ -352,6 +353,9 @@ def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
     ("sweep", "--curve", "dtm-window-efficiency", "--windows", "-5"),
     ("sweep", "--curve", "usage", "--windows", "nan"),
     ("sweep", "--curve", "usage", "--windows", "inf"),
+    # below the 1 ns clock a window's share of its period underflows to 0
+    ("sweep", "--curve", "dtm-window-efficiency", "--windows", "5e-324"),
+    ("sweep", "--curve", "usage", "--windows", "0.0009"),
     ("sweep", "--curve", "dtm-window-efficiency", "--payload", "1000000000000"),
     # no MPDU fits a Wi-Fi burst: every command that prices one refuses
     ("table", "6", "--payload", "1000000000000"),
@@ -416,8 +420,8 @@ FUZZ_COMMANDS = (
        (("sweep", "--curve", "usage"), ("--windows",)),
        (("sweep", "--curve", "dtm-window-efficiency"), ("--windows", "--payload")),
        (("optimize",), ("--ratio", "--alpha", "--payload"))])
-FUZZ_FLOATS = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e-9, 0.5,
-               1.0, 1e12)
+FUZZ_FLOATS = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 5e-324, 1e-9,
+               0.5, 1.0, 1e12)
 # --payload is an integer flag; argparse itself rejects the other values
 FUZZ_INTS = (-1, 0, 1, 10**12)
 
@@ -445,6 +449,23 @@ def test_cli_never_crashes_on_numeric_flag(argv):
         assert status == 1, argv
         assert err.getvalue().startswith("error:"), (argv, err.getvalue())
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    else:
+        assert "nan" not in out.getvalue(), argv
+
+
+@pytest.mark.parametrize("argv", [("optimize", "--ratio", "1e-310"),
+                                  ("sweep", "--ratio", "1e-310", "--regimes", "dtm")],
+                         ids=" ".join)
+def test_subnormal_window_prices_finite(tmp_path, argv):
+    # a Wi-Fi window of 1e-310 of the period holds no burst: 0 Mbps, not NaN
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")]
+    header, dtm = rows[0], next(r for r in rows if "dtm" in r)
+    for column in ("c_w_mbps", "c_l_mbps", "aggregated_mbps"):
+        assert math.isfinite(float(dtm[header.index(column)])), (column, dtm)
+    assert float(dtm[header.index("c_w_mbps")]) == 0.0
 
 
 def test_optimize_reports_recommendation(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import coex_durations, make_scenario
-from coexcap.coex import (COEXISTENCE_CACHE_SIZE, BurstDurations,
+from coexcap.coex import (COEXISTENCE_CACHE_SIZE, BurstDurations, CoexScenario,
                           backoff_root_probability,
                           burst_durations, capacity_no_coex,
                           coexistence_throughputs, coupling_step,
@@ -15,6 +15,7 @@ from coexcap.coex import (COEXISTENCE_CACHE_SIZE, BurstDurations,
                           wifi_success_duration)
 from coexcap.errors import (DegenerateBlockingError, EmptyBurstError,
                             UnsupportedBandwidthError)
+from coexcap.params import laa_class1, laa_class4, wifi_default
 from coexcap.tables import SweepSpec, scenario_for, sweep_rows
 from oracles import analytic_event_probs, chain_tau, contention_slots
 
@@ -55,8 +56,7 @@ def test_empty_burst_rejected(scenario_80):
 
 
 def test_laa_burst_durations(laa1, laa4):
-    lone = burst_durations(make_scenario(80, 1), 0, laa1.txop_coex_us)
-    assert (lone.ts_w, lone.tc_w, lone.ts_l) == (0.0, 0.0, 2250.0)
+    assert burst_durations(make_scenario(80, 1), 0, laa1.txop_coex_us).ts_l == 2250.0
     assert burst_durations(make_scenario(80, 4), 0, laa4.txop_coex_us).ts_l == 8250.0
     assert laa1.gamma_us == 250.0
 
@@ -342,6 +342,62 @@ def test_lone_closed_form_equals_solver(bw, cls, payload):
         expected = throughputs(solve_equilibrium(alone), alone,
                                burst_durations(alone, 0, txop))[1]
         assert capacity_no_coex("laa", scen, cap) == expected, cap
+
+
+def _solver_capacity(rat, scen, cap=None):
+    """A lone station priced through the coupled model with the other side
+    zeroed, with the duration of the station's collided burst."""
+    if rat == "wifi":
+        alone = replace(scen, n_w=1, n_l=0)
+        dur = burst_durations(alone, alone.mpdus_per_burst(cap), 0.0)
+        return throughputs(solve_equilibrium(alone), alone, dur)[0], dur.tc_w
+    alone = replace(scen, n_w=0, n_l=1)
+    txop = alone.laa.txop_shared_us if cap is None else min(alone.laa.txop_shared_us, cap)
+    dur = burst_durations(alone, 0, txop)
+    return throughputs(solve_equilibrium(alone), alone, dur)[1], dur.tc_l
+
+
+def _assert_lone_price(rat, scen, cap):
+    closed = capacity_no_coex(rat, scen, cap)
+    solver, collision_us = _solver_capacity(rat, scen, cap)
+    tau = 2.0 / ((scen.wifi if rat == "wifi" else scen.laa).cw_min + 3)
+    # the solver prices a same-RAT collision with probability
+    # (1 - (1 - tau)) - tau, a rounding residue; where it is 0 the two
+    # prices are one double, elsewhere they differ by at most the residue's
+    # airtime over the idle part of the mean slot
+    residue = (1.0 - (1.0 - tau)) - tau
+    if residue == 0.0:
+        assert closed == solver, cap
+    else:
+        drift = abs(residue) * collision_us / ((1.0 - tau) * scen.wifi.slot_us)
+        assert math.isclose(closed, solver, rel_tol=1e-15 + drift), cap
+
+
+@pytest.mark.parametrize("cw_min", [2 ** k for k in range(11)])
+def test_lone_wifi_price_at_every_window(cw_min):
+    wifi = replace(wifi_default(), cw_min=cw_min)
+    for bw in (40, 160):
+        scen = CoexScenario(wifi=wifi, laa=laa_class1(), bandwidth_mhz=bw)
+        for cap in (None, 300.0, 2500.0):
+            _assert_lone_price("wifi", scen, cap)
+
+
+@pytest.mark.parametrize("cw_min", (1, 3, 4, 7, 8, 16, 63, 1023))
+def test_lone_laa_price_at_every_window(cw_min):
+    laa = replace(laa_class4(), cw_min=cw_min)
+    for bw in (20, 160):
+        scen = CoexScenario(wifi=wifi_default(), laa=laa, bandwidth_mhz=bw)
+        for cap in (None, 300.0, 2500.0):
+            _assert_lone_price("laa", scen, cap)
+
+
+@pytest.mark.parametrize("profile", (wifi_default(), laa_class1(), laa_class4()),
+                         ids=("wifi", "laa1", "laa4"))
+def test_lone_chain_mc_matches_closed_form(profile):
+    # a station alone never collides or defers: counting slots of its
+    # chain gives the transmit probability the closed form prices with
+    est = chain_tau(profile, 0.0, 0.0, n_cycles=150_000, seed=11)
+    assert est.within(2.0 / (profile.cw_min + 3)), (est.value, est.se)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -177,6 +178,29 @@ def test_laa_burst_layout_examples():
     assert two[1][0] == 2_500_000
     partial = laa_burst_layout(1666.667, txop)
     assert [d for _, d in partial] == [1_500_000]
+
+
+def test_laa_burst_layout_stops_at_the_horizon():
+    txop = 2000.0
+    whole = laa_burst_layout(2 * txop + 500.0, txop)
+    assert laa_burst_layout(2 * txop + 500.0, txop, until_us=2500.0) == whole[:1]
+    assert laa_burst_layout(2 * txop + 500.0, txop, until_us=2500.001) == whole
+
+
+def test_long_scheduled_window_lays_out_only_the_measurement():
+    # a 1000 s window measured for 1 ms: only bursts that start inside the
+    # measurement are laid out, so memory stays flat in the window length
+    cfg = SimConfig(mode="dtm", bandwidth_mhz=80, t_wifi_us=5000.0, t_laa_us=1e9,
+                    measure_us=1000.0, warmup_us=0.0)
+    tracemalloc.start()
+    try:
+        sim = _Simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
+    assert len(sim.laa_bursts) == 1
+    assert sim.run().laa_airtime_throughput_mbps == 0.0
 
 
 def test_laa_window_airtime_matches_simulation():
