@@ -353,7 +353,7 @@ def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
     ("sweep", "--curve", "dtm-window-efficiency", "--windows", "-5"),
     ("sweep", "--curve", "usage", "--windows", "nan"),
     ("sweep", "--curve", "usage", "--windows", "inf"),
-    # below the 1 ns clock a window's share of its period underflows to 0
+    # lengths below the simulator's 1 ns clock
     ("sweep", "--curve", "dtm-window-efficiency", "--windows", "5e-324"),
     ("sweep", "--curve", "usage", "--windows", "0.0009"),
     ("sweep", "--curve", "dtm-window-efficiency", "--payload", "1000000000000"),
