@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -168,6 +169,43 @@ def test_handover_follows_the_window(kw):
         == result.counts.cts_sent
     if t_wifi > 50_000:
         assert all(seen[kind] for kind in ("cts", "data", "block-ack", "beacon"))
+
+
+@pytest.mark.parametrize("cfg, beacons", [
+    (dfm_config(beacon_interval_us=1000.0, measure_us=200_000.0), 85),
+    (dtm_config(t_wifi_us=50.0), 0),
+    (dtm_config(t_wifi_us=2500.0, t_laa_us=40_000.0, beacon_interval_us=700.0,
+                measure_us=300_000.0), 10),
+    (dtm_config(beacon_interval_us=1000.0, wifi=FAST_TIMING), 202),
+    # 34 us is one DIFS and half a 33-byte beacon: with no backoff, dues
+    # fall at the instant an access ends its DIFS or a beacon ends
+    (dtm_config(t_wifi_us=2000.0, t_laa_us=1000.0, warmup_us=0.0,
+                measure_us=20_000.0, wifi=WifiMacProfile(cw_min=1),
+                beacon_bytes=33, beacon_interval_us=34.0), 130),
+], ids=["dfm-1ms", "dtm-50us", "dtm-chained-700us", "fast-1ms", "ties"])
+def test_beacon_takes_the_first_access_after_it_falls_due(cfg, beacons):
+    # a beacon falls due at each multiple of the interval; dues that fall
+    # while one waits or is on the air fold into it, so the next beacon is
+    # due at the first multiple after the last one ends, and no data frame
+    # starts between its due time and its start
+    interval = round(cfg.beacon_interval_us * 1000)
+    result = run_simulation(replace(cfg, collect_trace=True))
+    sent, data = [], []
+    for line in result.trace:
+        t, _, kind, dur, _ = line.split("\t")
+        start = round(float(t) * 1000)
+        if kind == "beacon":
+            sent.append((start, start + round(float(dur) * 1000)))
+        elif kind == "data":
+            data.append(start)
+    data.sort()
+    assert len(sent) == result.counts.beacons == beacons
+    last_end = 0
+    for start, end in sent:
+        due = (last_end // interval + 1) * interval
+        assert due <= start, (due, start)
+        assert bisect_left(data, due) == bisect_left(data, start), (due, start)
+        last_end = end
 
 
 def test_laa_burst_layout_examples():
