@@ -22,7 +22,7 @@ from .errors import CoexcapError, ConfigError
 from .params import PROFILE_SECTIONS, load_preset, section_kwargs
 from .sharing import best_dma
 from .sim import DEFAULT_SEED, SimConfig, run_simulation
-from .tables import SweepSpec, scenario_for
+from .tables import LAA_CLASSES, REGIMES, SweepSpec, scenario_for
 
 SEED_ENV_VAR = "COEXCAP_SEED"
 
@@ -262,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--payload", type=int)
     p_sweep.add_argument("--bandwidth", type=int, nargs="+")
     p_sweep.add_argument("--ratio", type=float, nargs="+")
-    p_sweep.add_argument("--class", dest="laa_class", type=int, nargs="+", choices=(1, 4))
-    p_sweep.add_argument("--regimes", nargs="+", choices=("coex", "dtm", "dfm", "nc"))
+    p_sweep.add_argument("--class", dest="laa_class", type=int, nargs="+",
+                         choices=LAA_CLASSES)
+    p_sweep.add_argument("--regimes", nargs="+", choices=REGIMES)
     p_sweep.add_argument("--t-wifi", type=float,
                          help="fix the Wi-Fi window (us) instead of splitting 10 ms")
     p_sweep.add_argument("--curve", choices=("usage", "dtm-window-efficiency"),
@@ -285,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--payload", type=int, default=1500)
     p_opt.add_argument("--bandwidth", type=int, default=80)
     p_opt.add_argument("--ratio", type=float, default=0.25)
-    p_opt.add_argument("--class", dest="laa_class", type=int, choices=(1, 4), default=1)
+    p_opt.add_argument("--class", dest="laa_class", type=int, choices=LAA_CLASSES,
+                       default=1)
     p_opt.add_argument("--alpha", type=float, default=0.5)
     p_opt.set_defaults(func=cmd_optimize)
 

@@ -153,20 +153,14 @@ def transmission_probability(b00: float, pc: float, max_retries: int) -> float:
     return b00 * sum(pc ** r for r in range(max_retries + 1))
 
 
-def _pow_n(base: float, n: int) -> float:
-    # (1 - tau)**(n - 1) with n = 0 only ever occurs alongside tau = 0
-    if n <= 0:
-        return 1.0
-    return base ** n
-
-
 def coupling_step(tau_w: float, tau_l: float, scenario: CoexScenario):
     """Collision and countdown-blocking probabilities given both transmit rates."""
     n_w, n_l = scenario.n_w, scenario.n_l
-    quiet_w_peers = _pow_n(1.0 - tau_w, n_w - 1)   # no other Wi-Fi node
-    quiet_w_all = _pow_n(1.0 - tau_w, n_w)
-    quiet_l_peers = _pow_n(1.0 - tau_l, n_l - 1)
-    quiet_l_all = _pow_n(1.0 - tau_l, n_l)
+    # a side with no nodes has tau = 0, so a power of -1 is 1.0 ** -1 = 1.0
+    quiet_w_peers = (1.0 - tau_w) ** (n_w - 1)   # no other Wi-Fi node
+    quiet_w_all = (1.0 - tau_w) ** n_w
+    quiet_l_peers = (1.0 - tau_l) ** (n_l - 1)
+    quiet_l_all = (1.0 - tau_l) ** n_l
     p_fc = scenario.p_fc
 
     pc_w = 1.0 - quiet_l_all * quiet_w_peers
@@ -222,10 +216,10 @@ def event_probabilities(eq: Equilibrium, scenario: CoexScenario) -> EventProbs:
     """Per-slot outcome probabilities; an exhaustive disjoint partition."""
     n_w, n_l = scenario.n_w, scenario.n_l
     tau_w, tau_l = eq.tau_w, eq.tau_l
-    quiet_w = _pow_n(1.0 - tau_w, n_w)
-    quiet_l = _pow_n(1.0 - tau_l, n_l)
-    single_w = n_w * tau_w * _pow_n(1.0 - tau_w, n_w - 1) if n_w else 0.0
-    single_l = n_l * tau_l * _pow_n(1.0 - tau_l, n_l - 1) if n_l else 0.0
+    quiet_w = (1.0 - tau_w) ** n_w
+    quiet_l = (1.0 - tau_l) ** n_l
+    single_w = n_w * tau_w * (1.0 - tau_w) ** (n_w - 1)
+    single_l = n_l * tau_l * (1.0 - tau_l) ** (n_l - 1)
     return EventProbs(
         p_idle=quiet_w * quiet_l,
         ps_w=single_w * quiet_l,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 from .coex import CoexScenario, capacity_no_coex
 from .errors import InfeasiblePartitionError, InvalidWindowError
-from .params import (BASIC_RATE_MBPS, NON_HT_PREAMBLE_US, SIFS_US, LaaClassProfile,
-                     WifiMacProfile, padded_airtime_us)
+from .params import (BASIC_RATE_MBPS, NON_HT_PREAMBLE_US, SIFS_US, WIFI_RATES_MBPS,
+                     LaaClassProfile, WifiMacProfile, padded_airtime_us)
 
 #: One CTS frame reserves at most this long (16-bit duration field, us).
 MAX_CTS_RESERVATION_US = 32_767.0
@@ -188,7 +188,8 @@ def dtm_capacities(schedule: DtmSchedule, scenario: CoexScenario,
 # frequency partitions (DFM)
 # ---------------------------------------------------------------------------
 
-STANDARD_WIFI_WIDTHS = (160, 80, 40, 20)
+# largest first, for the greedy split
+STANDARD_WIFI_WIDTHS = tuple(sorted(WIFI_RATES_MBPS, reverse=True))
 
 
 @dataclass(frozen=True)

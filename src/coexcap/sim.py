@@ -1,11 +1,14 @@
 """Seeded discrete-event simulator for a one-AP/one-station downlink BSS.
 
 The AP runs saturated downlink A-MPDU traffic with DCF channel access and
-block acknowledgments.  In frequency-split (DFM) mode it simply owns its
-subchannel; in time-split (DTM) mode it packs bursts into recurring Wi-Fi
-windows, silences the BSS with a CTS-to-self whose duration field covers
-the scheduled window, and accounts the deterministic scheduled-burst
-airtime inside that window.
+block acknowledgments, fitting each exchange into the current Wi-Fi
+window.  In time-split (DTM) mode the windows recur: a CTS-to-self whose
+duration field covers the scheduled window silences the BSS, and the
+deterministic scheduled-burst airtime inside it is accounted.  In
+frequency-split (DFM) mode, or with no scheduled window, one Wi-Fi window
+opens at the start of the measurement and never closes.  A beacon falls
+due at each multiple of the beacon interval and takes the next access;
+dues that fall while one waits or is on the air fold into it.
 
 Unlike the analytical capacity model, transmitted PSDUs are padded to
 whole OFDM symbols and beacons are transmitted, so measured throughput
@@ -18,10 +21,10 @@ Event kinds, in tie-break order at equal times:
 - ``CTS_DUE``: one SIFS after a Wi-Fi window closes, the CTS-to-self goes
   out and reserves the scheduled window, whose deterministic bursts are
   accounted (and traced) at once; the next Wi-Fi window opens when the
-  NAV expires.
-- ``BEACON_DUE``: a beacon becomes pending; it takes the next access.
-- ``BACKOFF_EXPIRY``: DIFS and the backoff have elapsed; the AP sends a
-  beacon or the largest A-MPDU whose exchange fits in the window.
+  NAV expires.  A window that never closes has its CTS due at infinity.
+- ``BACKOFF_EXPIRY``: DIFS and the backoff have elapsed; the AP sends the
+  due beacon, if any, or the largest A-MPDU whose exchange fits in the
+  window.
 - ``BEACON_END``: the beacon leaves the air and the next access starts.
 - ``ACK_END``: the block-ACK ends the data exchange (data frame, SIFS,
   block-ACK: one event) and the next access starts.
@@ -57,7 +60,7 @@ def _ns(us: float) -> int:
 # Event kinds, numbered in tie-break order: control traffic before data.
 # Events are (time_ns, kind, seq, payload) tuples; seq is unique, so the
 # queue orders by time, then kind, then push order.
-CTS_DUE, BEACON_DUE, BACKOFF_EXPIRY, BEACON_END, ACK_END = range(5)
+CTS_DUE, BACKOFF_EXPIRY, BEACON_END, ACK_END = range(4)
 
 # backoff counters drawn per generator call; the draws are used one per
 # access in time order, so the block size never changes a counter
@@ -209,9 +212,11 @@ class _Simulation:
 
         self.m0 = _ns(config.warmup_us)
         self.m1 = self.m0 + _ns(config.measure_us)
-        self.windowed = config.mode == "dtm" and config.t_laa_us > 0
-        self.t_wifi_ns = _ns(config.t_wifi_us) if config.t_wifi_us is not None else 0
-        self.t_laa_ns = _ns(config.t_laa_us) if config.t_laa_us is not None else 0
+        dtm = config.mode == "dtm"
+        # with no scheduled window, Wi-Fi holds one window that never closes
+        self.t_wifi_ns = (_ns(config.t_wifi_us) if dtm and config.t_laa_us > 0
+                          else math.inf)
+        self.t_laa_ns = _ns(config.t_laa_us) if dtm else 0
         # every scheduled window has the same length, hence the same layout
         # and the same CTS count; a scheduled window starts after m0, so a
         # burst at an offset of measure_us or more starts after m1
@@ -219,15 +224,16 @@ class _Simulation:
                                            config.laa.txop_shared_us,
                                            config.laa.laa_slot_us,
                                            config.measure_us)
-        self.cts_per_window = (DtmSchedule(self.t_wifi_ns / _NS,
+        # the schedule refuses windows that both round to 0 ns
+        self.cts_per_window = (DtmSchedule(_ns(config.t_wifi_us) / _NS,
                                            self.t_laa_ns / _NS).reservations
-                               if self.windowed else 0)
+                               if dtm else 0)
+        self.beacon_interval_ns = _ns(config.beacon_interval_us)
+        self.beacon_due = self.beacon_interval_ns
 
         self.heap: list[tuple] = []
         self._seq = count()
-        self.window_end = math.inf
         self.counter: int | None = None
-        self.beacon_pending = False
         self.bits = 0
         self.laa_airtime_ns = 0
         self.nav_total_ns = 0
@@ -258,7 +264,7 @@ class _Simulation:
             self.counter = self.draws.pop()
         ready = t_ns + self.difs_ns + self.counter * self.slot_ns
         if ready >= self.window_end:
-            usable = max(0, int(self.window_end - t_ns - self.difs_ns) // self.slot_ns)
+            usable = max(0, (self.window_end - t_ns - self.difs_ns) // self.slot_ns)
             self.counter -= min(self.counter, usable)
             return
         heappush(self.heap, (ready, BACKOFF_EXPIRY, next(self._seq), ()))
@@ -266,7 +272,7 @@ class _Simulation:
     def _on_backoff_expiry(self, t_ns: int, payload: tuple):
         self.counter = None
         room = self.window_end - t_ns
-        if self.beacon_pending:
+        if t_ns >= self.beacon_due:
             if self.beacon_air_ns <= room:
                 self._push(t_ns + self.beacon_air_ns, BEACON_END)
             else:
@@ -287,7 +293,7 @@ class _Simulation:
 
     def _on_beacon_end(self, t_ns: int, payload: tuple):
         self.beacons += 1
-        self.beacon_pending = False
+        self.beacon_due = (t_ns // self.beacon_interval_ns + 1) * self.beacon_interval_ns
         self._log(t_ns - self.beacon_air_ns, "ap", "beacon", self.beacon_air_ns, "ok")
         self._start_access(t_ns)
 
@@ -300,14 +306,10 @@ class _Simulation:
             self._log(t_ns - self.ba_air_ns, "sta", "block-ack", self.ba_air_ns, "ok")
         self._start_access(t_ns)
 
-    def _on_beacon_due(self, t_ns: int, payload: tuple):
-        self.beacon_pending = True
-        self._push(t_ns + _ns(self.cfg.beacon_interval_us), BEACON_DUE)
-
     def _begin_wifi_window(self, t_ns: int):
         self.window_end = t_ns + self.t_wifi_ns
         lo, hi = max(t_ns, self.m0), min(self.window_end, self.m1)
-        self.window_ns += max(0, int(hi - lo))
+        self.window_ns += max(0, hi - lo)
         # every exchange and beacon ends by the window end, so the CTS goes
         # out one SIFS after it
         self._push(self.window_end + self.sifs_ns, CTS_DUE)
@@ -327,8 +329,7 @@ class _Simulation:
             self.laa_airtime_ns += max(0, hi - lo)
             if self.tracing and start + dur <= self.m1:
                 self._log(start, "enb", "laa-burst", dur, "ok")
-        # under the NAV only beacons fall due, and they read no window
-        # state, so the next window can open now
+        # no event falls due under the NAV, so the next window can open now
         self._begin_wifi_window(laa_start + self.t_laa_ns)
 
     # -- top level ----------------------------------------------------------
@@ -343,18 +344,11 @@ class _Simulation:
 
     def run(self) -> SimResult:
         self._warmup_frames()
-        self._push(_ns(self.cfg.beacon_interval_us), BEACON_DUE)
-        if self.windowed:
-            self._begin_wifi_window(self.m0)
-        else:
-            self.window_end = math.inf
-            self.window_ns = self.m1 - self.m0
-            self._start_access(self.m0)
+        self._begin_wifi_window(self.m0)
 
         # indexed by event kind, in the order of the kind constants
-        handlers = (self._on_cts_due, self._on_beacon_due,
-                    self._on_backoff_expiry, self._on_beacon_end,
-                    self._on_ack_end)
+        handlers = (self._on_cts_due, self._on_backoff_expiry,
+                    self._on_beacon_end, self._on_ack_end)
         while self.heap:
             t_ns, kind, _, payload = heappop(self.heap)
             if t_ns > self.m1:

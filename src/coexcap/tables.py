@@ -19,10 +19,12 @@ from .sharing import (DtmSchedule, best_dma, dfm_capacities, dfm_partition,
                       dtm_capacities, effective_channel_usage, windowed_capacity)
 from .sim import DEFAULT_SEED, SimConfig, run_simulation
 
-WIFI_BANDWIDTHS = (20, 40, 80, 160)
+WIFI_BANDWIDTHS = tuple(sorted(WIFI_RATES_MBPS))
 SHARING_RATIOS = (0.25, 0.50, 0.75)
+REGIMES = ("coex", "dtm", "dfm", "nc")
 
 _LAA_PROFILES = {1: laa_class1, 4: laa_class4}
+LAA_CLASSES = tuple(_LAA_PROFILES)
 
 
 def scenario_for(bandwidth_mhz: int, laa_class: int = 1, payload_bytes: int = 1500,
@@ -79,10 +81,10 @@ def table8_rows(payload_bytes: int = 1500):
     for bw in WIFI_BANDWIDTHS:
         for ratio in SHARING_RATIOS:
             picks = {cls: best_dma(bw, ratio, scenario_for(bw, cls, payload_bytes))
-                     for cls in (1, 4)}
+                     for cls in LAA_CLASSES}
             label = picks[1].recommendation
             reports = {cls: (picks[cls].dtm if label == "dtm" else picks[cls].dfm)
-                       for cls in (1, 4)}
+                       for cls in LAA_CLASSES}
             rows.append([bw, ratio,
                          round(reports[1].c_w_mbps, 2),
                          round(reports[1].c_l_mbps, 2),
@@ -149,7 +151,7 @@ class SweepSpec:
     ratios: tuple[float, ...] = SHARING_RATIOS
     classes: tuple[int, ...] = (1,)
     payloads: tuple[int, ...] = (1500,)
-    regimes: tuple[str, ...] = ("coex", "dtm", "dfm", "nc")
+    regimes: tuple[str, ...] = REGIMES
     combined_window_us: float = 10_000.0
     t_wifi_us: float | None = None     # fixed Wi-Fi window instead of combined split
 
@@ -157,7 +159,7 @@ class SweepSpec:
         if not (self.bandwidths and self.ratios and self.classes and self.payloads
                 and self.regimes):
             raise ValueError("sweep axes must be non-empty")
-        bad = set(self.regimes) - {"coex", "dtm", "dfm", "nc"}
+        bad = set(self.regimes) - set(REGIMES)
         if bad:
             raise ValueError(f"unknown regimes {sorted(bad)}")
         if any(not 0.0 < r <= 1.0 for r in self.ratios):
@@ -223,7 +225,8 @@ def window_efficiency_rows(windows_us, bandwidth_mhz: int = 80,
     finish every pending burst.
     """
     columns = ["window_us", "rat", "laa_class", "efficiency"]
-    scenarios = {cls: scenario_for(bandwidth_mhz, cls, payload_bytes) for cls in (1, 4)}
+    scenarios = {cls: scenario_for(bandwidth_mhz, cls, payload_bytes)
+                 for cls in LAA_CLASSES}
     scen1 = scenarios[1]
     rows = []
     for window in windows_us:

@@ -319,6 +319,8 @@ def test_simulate_never_crashes_on_config_value(tmp_path, capsys, deadline,
     ("[simulation]\nmeasure_us = 5%\n", "measure_us"),
     ("[simulation]\nbeacon_interval_us = 0\n", "beacon_interval_us"),
     ("[simulation]\nbeacon_interval_us = 0.0001\n", "beacon_interval_us"),
+    ("[simulation]\nmode = dtm\nt_wifi_us = 0\nt_laa_us = 0\n",
+     "at least one window must be positive"),
 ])
 def test_simulate_rejects_config(tmp_path, capsys, deadline, text, named):
     cfg = tmp_path / "bad.ini"

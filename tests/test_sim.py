@@ -108,8 +108,9 @@ def test_dtm_tiny_wifi_window_starves_wifi():
 
 def test_windows_below_one_ns_rejected():
     # both windows round to 0 ns, so no schedule exists to reserve
-    with pytest.raises(InvalidWindowError):
-        run_simulation(dtm_config(t_wifi_us=0.0, t_laa_us=1e-4))
+    for t_wifi_us, t_laa_us in ((0.0, 1e-4), (0.0, 0.0), (1e-4, 0.0)):
+        with pytest.raises(InvalidWindowError):
+            run_simulation(dtm_config(t_wifi_us=t_wifi_us, t_laa_us=t_laa_us))
     # a 0 ns SIFS would send the CTS in the instant the last burst ends
     with pytest.raises(ConfigError):
         dtm_config(t_wifi_us=0.0, wifi=replace(wifi_default(), sifs_us=4e-4))
