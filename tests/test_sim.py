@@ -373,6 +373,52 @@ def test_edge_digest():
     assert digest.hexdigest() == EDGE_DIGEST
 
 
+# sha256 over short traced DTM runs whose measurement ends exactly at, or
+# 1 ns either side of, the instants where the access loop changes state: a
+# CTS due time (window close + SIFS), a NAV expiry (the next window opens),
+# a beacon end and a block-ACK end; plus 0 ns and 1 ns windows, and a
+# beacon that never fits a 50 us window, so the AP carries a 0 counter.
+LOOP_EDGE_DIGEST = "6c6a5517662e579e9675557b132f1dccb496f63ea99be2b1876a74d482926581"
+
+
+def loop_edge_configs():
+    # cw_min 1 draws no backoff, so the first access is ready one DIFS in
+    for warmup_us in (0.0, 3000.0):
+        data = SimConfig(mode="dtm", t_wifi_us=5000.0, t_laa_us=3000.0,
+                         wifi=WifiMacProfile(cw_min=1), warmup_us=warmup_us,
+                         collect_trace=True)
+        sim = _Simulation(data)
+        cts_due = round(data.t_wifi_us * 1000) + sim.sifs_ns
+        nav_end = cts_due + sim.cts_air_ns + round(data.t_laa_us * 1000)
+        ack_end = sim.difs_ns + sim.exchange_ns[sim.n_full]
+        # a beacon due at the first ready time takes the first access
+        beacon = replace(data, beacon_interval_us=sim.difs_ns / 1000)
+        beacon_end = sim.difs_ns + sim.beacon_air_ns
+        for cfg, end_ns in ((data, cts_due), (data, nav_end), (data, ack_end),
+                            (data, 2 * nav_end), (beacon, beacon_end)):
+            for delta in (-1, 0, 1):
+                yield replace(cfg, measure_us=(end_ns + delta) / 1000)
+    windows = ((0.001, 0.001), (0.001, 5000.0), (5000.0, 0.001), (0.0, 50.0),
+               (50.0, 1000.0))
+    for k in range(20):
+        t_wifi, t_laa = windows[k % 5]
+        yield SimConfig(seed=k, mode="dtm", bandwidth_mhz=(20, 80)[k % 2],
+                        wifi=WifiMacProfile(cw_min=(16, 1, 2)[k % 3]),
+                        t_wifi_us=t_wifi, t_laa_us=t_laa,
+                        warmup_us=(0.0, 100_000.0)[k // 10],
+                        beacon_interval_us=1000.0, measure_us=3000.0 + 997.0 * k,
+                        collect_trace=True)
+
+
+def test_loop_edge_digest():
+    digest = hashlib.sha256()
+    for cfg in loop_edge_configs():
+        result = run_simulation(cfg)
+        digest.update(json.dumps(result.to_dict(), sort_keys=True).encode())
+        digest.update("\n".join(result.trace).encode())
+    assert digest.hexdigest() == LOOP_EDGE_DIGEST
+
+
 def test_high_seeds_have_their_own_streams():
     # seeds of 2**63 and above must not collide with each other or with 0
     runs = {}
