@@ -268,8 +268,13 @@ def coexistence_throughputs(scenario: CoexScenario) -> tuple[float, float]:
 
     Memoized per (frozen, hashable) scenario in a least-recently-used
     cache of ``COEXISTENCE_CACHE_SIZE`` entries; ``cache_info()`` reports
-    its hits.  Errors are not cached.
+    its hits.  Errors are not cached.  With no Wi-Fi station only the LAA
+    burst is priced, and Th_w is 0.
     """
+    if scenario.n_w == 0:
+        laa_dur = scenario.laa.gamma_us + scenario.laa.txop_coex_us
+        dur = BurstDurations(0, scenario.laa.txop_coex_us, 0.0, 0.0, laa_dur, laa_dur)
+        return throughputs(solve_equilibrium(scenario), scenario, dur)
     n = scenario.mpdus_per_burst()
     if n == 0:
         raise EmptyBurstError("no MPDU fits a Wi-Fi burst")

@@ -12,22 +12,24 @@ dues that fall while one waits or is on the air fold into it.
 
 Unlike the analytical capacity model, transmitted PSDUs are padded to
 whole OFDM symbols and beacons are transmitted, so measured throughput
-sits slightly below the analytical capacity.  The event clock is integer
+sits slightly below the analytical capacity.  The clock is integer
 nanoseconds; identical configurations (including the seed) produce
 identical results and traces.
 
-Event kinds, in tie-break order at equal times:
-
-- ``CTS_DUE``: one SIFS after a Wi-Fi window closes, the CTS-to-self goes
-  out and reserves the scheduled window, whose deterministic bursts are
-  accounted (and traced) at once; the next Wi-Fi window opens when the
-  NAV expires.  A window that never closes has its CTS due at infinity.
-- ``BACKOFF_EXPIRY``: DIFS and the backoff have elapsed; the AP sends the
-  due beacon, if any, or the largest A-MPDU whose exchange fits in the
-  window.
-- ``BEACON_END``: the beacon leaves the air and the next access starts.
-- ``ACK_END``: the block-ACK ends the data exchange (data frame, SIFS,
-  block-ACK: one event) and the next access starts.
+A run is one loop over channel accesses.  Each pass starts when the
+channel falls idle at ``t`` and takes a backoff counter (a fresh draw, or
+the one carried over a handover): the AP is ready at
+``t + DIFS + counter * slot``.  Ready before the window closes, it sends
+the due beacon, if any, or the largest A-MPDU whose exchange (data frame,
+SIFS, block-ACK) fits in the window, and the next pass starts when that
+frame ends.  Otherwise it carries the counter less the slots it counted
+down, or 0 when nothing fits, and one SIFS after the window closes the
+CTS-to-self goes out: the scheduled window's deterministic bursts are
+accounted (and traced) at once, and the next Wi-Fi window opens when the
+NAV expires.  Every frame ends by the close of its window, so the passes
+run in time order.  An exchange's bits count when it ends inside the
+measurement ``[m0, m1]``; the run stops at the first instant the loop
+reaches after ``m1``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from heapq import heappop, heappush
-from itertools import count
 
 import numpy as np
 
@@ -56,11 +56,6 @@ _NS = 1000  # ns per us
 def _ns(us: float) -> int:
     return round(us * _NS)
 
-
-# Event kinds, numbered in tie-break order: control traffic before data.
-# Events are (time_ns, kind, seq, payload) tuples; seq is unique, so the
-# queue orders by time, then kind, then push order.
-CTS_DUE, BACKOFF_EXPIRY, BEACON_END, ACK_END = range(4)
 
 # backoff counters drawn per generator call; the draws are used one per
 # access in time order, so the block size never changes a counter
@@ -99,7 +94,7 @@ class SimConfig:
             raise ConfigError("dtm mode needs t_wifi_us and t_laa_us")
         if self.mode == "dfm" and (self.t_wifi_us is not None or self.t_laa_us is not None):
             raise ConfigError("dfm mode reads no t_wifi_us or t_laa_us")
-        # the event loop keeps whole-ns time and steps by the beacon interval
+        # the access loop keeps whole-ns time and steps by the beacon interval
         # and both slots; a SIFS of 1 ns or more puts each CTS after the
         # bursts of the window before it, in time and in the trace
         for name, value, least_ns in (
@@ -178,7 +173,7 @@ def laa_burst_layout(t_laa_us: float, txop_us: float,
 
 
 class _Simulation:
-    """Sequential event loop for one run; see module docstring for the model."""
+    """The access loop for one run; see module docstring for the model."""
 
     def __init__(self, config: SimConfig):
         self.cfg = config
@@ -208,15 +203,14 @@ class _Simulation:
         # a uint64 key keeps every seed in [0, 2**64) on its own stream
         self.rng = np.random.Generator(np.random.Philox(
             key=np.array([config.seed, 0], dtype=np.uint64)))
-        self.draws: list[int] = []        # unused backoff counters, last first
 
         self.m0 = _ns(config.warmup_us)
         self.m1 = self.m0 + _ns(config.measure_us)
         dtm = config.mode == "dtm"
-        # with no scheduled window, Wi-Fi holds one window that never closes
-        self.t_wifi_ns = (_ns(config.t_wifi_us) if dtm and config.t_laa_us > 0
-                          else math.inf)
         self.t_laa_ns = _ns(config.t_laa_us) if dtm else 0
+        # with no scheduled window, Wi-Fi holds one window that never
+        # closes; a window that rounds to 0 ns is no window
+        self.t_wifi_ns = _ns(config.t_wifi_us) if self.t_laa_ns > 0 else math.inf
         # every scheduled window has the same length, hence the same layout
         # and the same CTS count; a scheduled window starts after m0, so a
         # burst at an offset of measure_us or more starts after m1
@@ -229,110 +223,13 @@ class _Simulation:
                                            self.t_laa_ns / _NS).reservations
                                if dtm else 0)
         self.beacon_interval_ns = _ns(config.beacon_interval_us)
-        self.beacon_due = self.beacon_interval_ns
 
-        self.heap: list[tuple] = []
-        self._seq = count()
-        self.counter: int | None = None
-        self.bits = 0
-        self.laa_airtime_ns = 0
-        self.nav_total_ns = 0
-        self.window_ns = 0
-        self.tx = self.cts = self.beacons = 0
         self.tracing = config.collect_trace
         self.trace: list[str] = []
 
-    # -- plumbing ----------------------------------------------------------
-
-    # the per-exchange handlers push with heappush directly and test
-    # self.tracing before calling _log, which saves a call on each event
-    def _push(self, time_ns: int, kind: int):
-        heappush(self.heap, (time_ns, kind, next(self._seq), ()))
-
     def _log(self, t_ns: int, node: str, kind: str, dur_ns: int, outcome: str):
-        if self.tracing:
-            self.trace.append(f"{t_ns / _NS:.3f}\t{node}\t{kind}\t"
-                              f"{dur_ns / _NS:.3f}\t{outcome}")
-
-    # -- handlers ----------------------------------------------------------
-
-    def _start_access(self, t_ns: int):
-        if self.counter is None:
-            if not self.draws:
-                self.draws = self.rng.integers(0, self.wifi.cw_min,
-                                               size=_DRAW_BLOCK).tolist()[::-1]
-            self.counter = self.draws.pop()
-        ready = t_ns + self.difs_ns + self.counter * self.slot_ns
-        if ready >= self.window_end:
-            usable = max(0, (self.window_end - t_ns - self.difs_ns) // self.slot_ns)
-            self.counter -= min(self.counter, usable)
-            return
-        heappush(self.heap, (ready, BACKOFF_EXPIRY, next(self._seq), ()))
-
-    def _on_backoff_expiry(self, t_ns: int, payload: tuple):
-        self.counter = None
-        room = self.window_end - t_ns
-        if t_ns >= self.beacon_due:
-            if self.beacon_air_ns <= room:
-                self._push(t_ns + self.beacon_air_ns, BEACON_END)
-            else:
-                self.counter = 0
-            return
-        # the largest MPDU count whose exchange fits, or 0
-        n = bisect_right(self.exchange_ns, room, 1) - 1
-        if n == 0:
-            self.counter = 0
-            return
-        # nothing else is logged while the data frame is on the air, so
-        # logging it now keeps the trace order; like every line, it is
-        # kept only if the frame ends by the end of the measurement
-        if self.tracing and t_ns + self.data_air_ns[n] <= self.m1:
-            self._log(t_ns, "ap", "data", self.data_air_ns[n], "ok")
-        heappush(self.heap, (t_ns + self.exchange_ns[n], ACK_END,
-                             next(self._seq), (n,)))
-
-    def _on_beacon_end(self, t_ns: int, payload: tuple):
-        self.beacons += 1
-        self.beacon_due = (t_ns // self.beacon_interval_ns + 1) * self.beacon_interval_ns
-        self._log(t_ns - self.beacon_air_ns, "ap", "beacon", self.beacon_air_ns, "ok")
-        self._start_access(t_ns)
-
-    def _on_ack_end(self, t_ns: int, payload: tuple):
-        n = payload[0]
-        self.tx += 1
-        if self.m0 <= t_ns <= self.m1:
-            self.bits += n * self.mpdu_bits
-        if self.tracing:
-            self._log(t_ns - self.ba_air_ns, "sta", "block-ack", self.ba_air_ns, "ok")
-        self._start_access(t_ns)
-
-    def _begin_wifi_window(self, t_ns: int):
-        self.window_end = t_ns + self.t_wifi_ns
-        lo, hi = max(t_ns, self.m0), min(self.window_end, self.m1)
-        self.window_ns += max(0, hi - lo)
-        # every exchange and beacon ends by the window end, so the CTS goes
-        # out one SIFS after it
-        self._push(self.window_end + self.sifs_ns, CTS_DUE)
-        self._start_access(t_ns)
-
-    def _on_cts_due(self, t_ns: int, payload: tuple):
-        self._log(t_ns, "ap", "cts", self.cts_air_ns, "ok")
-        self.cts += self.cts_per_window
-        laa_start = t_ns + self.cts_air_ns
-        self.nav_total_ns += self.t_laa_ns
-        for offset, dur in self.laa_bursts:
-            start = laa_start + offset
-            # scheduled bursts are deterministic once reserved, so account
-            # the measured share now; nothing else is logged before the NAV
-            # expires, so logging each burst now keeps the trace order
-            lo, hi = max(start, self.m0), min(start + dur, self.m1)
-            self.laa_airtime_ns += max(0, hi - lo)
-            if self.tracing and start + dur <= self.m1:
-                self._log(start, "enb", "laa-burst", dur, "ok")
-        # no event falls due under the NAV, so the next window can open now
-        self._begin_wifi_window(laa_start + self.t_laa_ns)
-
-    # -- top level ----------------------------------------------------------
+        self.trace.append(f"{t_ns / _NS:.3f}\t{node}\t{kind}\t"
+                          f"{dur_ns / _NS:.3f}\t{outcome}")
 
     def _warmup_frames(self):
         for t_us, node, kind, dur_us in ((5000, "sta", "assoc-req", 60),
@@ -343,29 +240,103 @@ class _Simulation:
                 self._log(_ns(t_us), node, kind, _ns(dur_us), "ok")
 
     def run(self) -> SimResult:
-        self._warmup_frames()
-        self._begin_wifi_window(self.m0)
+        tracing, log = self.tracing, self._log
+        if tracing:
+            self._warmup_frames()
+        m0, m1 = self.m0, self.m1
+        difs, slot, sifs = self.difs_ns, self.slot_ns, self.sifs_ns
+        data_air, exchange, ba_air = self.data_air_ns, self.exchange_ns, self.ba_air_ns
+        beacon_air, interval = self.beacon_air_ns, self.beacon_interval_ns
+        t_wifi, t_laa, cts_air = self.t_wifi_ns, self.t_laa_ns, self.cts_air_ns
+        cw_min, mpdu_bits = self.wifi.cw_min, self.mpdu_bits
 
-        # indexed by event kind, in the order of the kind constants
-        handlers = (self._on_cts_due, self._on_backoff_expiry,
-                    self._on_beacon_end, self._on_ack_end)
-        while self.heap:
-            t_ns, kind, _, payload = heappop(self.heap)
-            if t_ns > self.m1:
+        draws: list[int] = []             # unused backoff counters, last first
+        counter = None                    # carried across a handover, if set
+        beacon_due = interval
+        bits = tx = beacons = handovers = 0
+        laa_airtime = window = 0
+
+        # each pass is one access from t: the AP sends in its window, or
+        # carries its counter to the handover one SIFS after the window
+        # closes; every frame ends by the close, so the passes run in time
+        # order, and the run stops at the first instant after m1
+        t = m0
+        window_end = t + t_wifi
+        window += max(0, min(window_end, m1) - t)
+        while True:
+            if counter is None:
+                if not draws:
+                    draws = self.rng.integers(0, cw_min, size=_DRAW_BLOCK).tolist()[::-1]
+                counter = draws.pop()
+            ready = t + difs + counter * slot
+            if ready < window_end:
+                if ready > m1:
+                    break
+                counter = None
+                room = window_end - ready
+                if ready >= beacon_due:
+                    if beacon_air <= room:
+                        t = ready + beacon_air
+                        if t > m1:
+                            break
+                        beacons += 1
+                        # dues that fell while it waited or was on the air fold into it
+                        beacon_due = (t // interval + 1) * interval
+                        if tracing:
+                            log(ready, "ap", "beacon", beacon_air, "ok")
+                        continue
+                else:
+                    # the largest MPDU count whose exchange fits, or 0
+                    n = bisect_right(exchange, room, 1) - 1
+                    if n:
+                        # like every line, the data line is kept only if
+                        # the frame ends by the end of the measurement
+                        if tracing and ready + data_air[n] <= m1:
+                            log(ready, "ap", "data", data_air[n], "ok")
+                        t = ready + exchange[n]
+                        if t > m1:
+                            break
+                        # every exchange ends after m0, and this one ends
+                        # by m1: it ends in [m0, m1], so its bits count
+                        tx += 1
+                        bits += n * mpdu_bits
+                        if tracing:
+                            log(t - ba_air, "sta", "block-ack", ba_air, "ok")
+                        continue
+                counter = 0
+            else:
+                counter -= min(counter, max(0, (window_end - t - difs) // slot))
+
+            # the handover: the CTS-to-self reserves the scheduled window,
+            # whose deterministic bursts are accounted (and logged) at once,
+            # and the next Wi-Fi window opens when the NAV expires
+            t = window_end + sifs
+            if t > m1:
                 break
-            handlers[kind](t_ns, payload)
+            if tracing:
+                log(t, "ap", "cts", cts_air, "ok")
+            handovers += 1
+            laa_start = t + cts_air
+            for offset, dur in self.laa_bursts:
+                start = laa_start + offset
+                laa_airtime += max(0, min(start + dur, m1) - start)
+                if tracing and start + dur <= m1:
+                    log(start, "enb", "laa-burst", dur, "ok")
+            t = laa_start + t_laa
+            window_end = t + t_wifi
+            window += max(0, min(window_end, m1) - t)
 
         measure_us = self.cfg.measure_us
         return SimResult(
-            wifi_throughput_mbps=self.bits / measure_us,
+            wifi_throughput_mbps=bits / measure_us,
             laa_airtime_throughput_mbps=LAA_EFFICIENCY * self.laa_rate
-            * (self.laa_airtime_ns / _NS) / measure_us,
-            counts=SimCounts(self.tx, self.cts, self.beacons),
+            * (laa_airtime / _NS) / measure_us,
+            counts=SimCounts(tx, handovers * self.cts_per_window, beacons),
             seed=self.cfg.seed,
             measure_us=measure_us,
-            nav_total_us=self.nav_total_ns / _NS,
-            wifi_window_us=self.window_ns / _NS,
-            trace=tuple(self.trace) if self.tracing else None,
+            nav_total_us=handovers * t_laa / _NS,
+            wifi_window_us=window / _NS,
+            trace=tuple(self.trace) if tracing else None,
         )
 
 

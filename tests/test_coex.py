@@ -324,6 +324,22 @@ def test_forced_zero_recovers_no_coex():
     assert th == capacity_no_coex("wifi", scen)
 
 
+@pytest.mark.parametrize("bw", (20, 40, 60, 80, 160))
+@pytest.mark.parametrize("cls", (1, 4))
+@pytest.mark.parametrize("payload", (1500, 10**6))
+def test_coexistence_without_wifi_prices_laa_alone(bw, cls, payload):
+    # no Wi-Fi station: no Wi-Fi burst is priced, so neither a width with
+    # no Wi-Fi rate (60 MHz) nor a payload no burst holds gets in the way;
+    # LAA is priced alone at its coexistence burst bound, which is class
+    # 1's shared bound too, bit for bit
+    scen = make_scenario(bw, cls, payload, n_w=0, n_l=1)
+    bound = replace(scen.laa, txop_shared_us=scen.laa.txop_coex_us)
+    assert coexistence_throughputs(scen) == (
+        0.0, capacity_no_coex("laa", replace(scen, laa=bound)))
+    if cls == 1:
+        assert coexistence_throughputs(scen)[1] == capacity_no_coex("laa", scen)
+
+
 @pytest.mark.parametrize("bw", (20, 40, 80, 160))
 @pytest.mark.parametrize("cls", (1, 4))
 @pytest.mark.parametrize("payload", (1500, 15_000, 10**6))

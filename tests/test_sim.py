@@ -305,7 +305,7 @@ def test_result_serialization_round_trip():
 
 
 # sha256 over every golden config's result record and trace; pins results
-# and traces to the bit, so a refactor of the event loop cannot drift
+# and traces to the bit, so a refactor of the access loop cannot drift
 GOLDEN_DIGEST = "df641252c62e0463902d2514e60350d6c7100244d7be176583f157848fcbfe63"
 
 
@@ -417,6 +417,31 @@ def test_loop_edge_digest():
         digest.update(json.dumps(result.to_dict(), sort_keys=True).encode())
         digest.update("\n".join(result.trace).encode())
     assert digest.hexdigest() == LOOP_EDGE_DIGEST
+
+
+SUB_NS_WINDOW = SimConfig(mode="dtm", t_wifi_us=5000, t_laa_us=0.0004,
+                          measure_us=1e5, collect_trace=True)
+
+
+def test_sub_ns_scheduled_window_is_no_window():
+    # a scheduled window that rounds to 0 ns reserves nothing: the AP runs
+    # exactly as with no scheduled window and sends no CTS-to-self
+    result = run_simulation(SUB_NS_WINDOW)
+    assert result == run_simulation(replace(SUB_NS_WINDOW, t_laa_us=0))
+    assert result.counts.cts_sent == 0
+    assert not any("\tcts\t" in line for line in result.trace)
+
+
+@pytest.mark.parametrize("configs", [
+    edge_configs, loop_edge_configs, lambda: [SUB_NS_WINDOW]],
+    ids=["edge", "loop-edge", "sub-ns"])
+def test_cts_count_matches_the_trace(configs):
+    for cfg in configs():
+        result = run_simulation(cfg)
+        per_window = (math.ceil(cfg.t_laa_us / MAX_CTS_RESERVATION_US)
+                      if cfg.mode == "dtm" else 0)
+        lines = sum("\tcts\t" in line for line in result.trace)
+        assert result.counts.cts_sent == per_window * lines, cfg
 
 
 def test_high_seeds_have_their_own_streams():
