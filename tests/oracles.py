@@ -1,8 +1,9 @@
 """Independent verification tools used by the test suite.
 
 Nothing here calls the closed-form implementations it checks: burst sizes
-come from a linear scan, windowed capacities from a sequential packer, and
-the equilibrium quantities from Monte Carlo counting.
+come from a linear scan, windowed capacities from a sequential packer, the
+equilibrium quantities from Monte Carlo counting, and the coupled fixed
+point from Newton's method in 50-digit arithmetic.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from coexcap.coex import event_probabilities
@@ -197,3 +199,111 @@ def analytic_event_probs(eq, scenario):
     probs = event_probabilities(eq, scenario)
     return {"p_idle": probs.p_idle, "ps_w": probs.ps_w, "ps_l": probs.ps_l,
             "pc_ww": probs.pc_ww, "pc_ll": probs.pc_ll, "pc_wl": probs.pc_wl}
+
+
+# ---------------------------------------------------------------------------
+# exact fixed point
+# ---------------------------------------------------------------------------
+
+#: Starting points of the exact solve; each must reach the same fixed point.
+EXACT_STARTS = ((0.01, 0.01), (0.25, 0.02), (0.02, 0.25))
+
+
+def _exact_chain(profile):
+    """The backoff chain's transmit probability as a function of (pc, pb):
+    slots sent over slots spent, stage r weighted by pc**r.  A stage spends
+    one transmit slot, a mean 1/(1 - pb) defer slots and a mean
+    (CW_r - 1)/2 countdown slots."""
+    stages = range(profile.max_retries, -1, -1)
+    ones = [1] * len(stages)
+    countdowns = [mpmath.mpf(contention_window(profile, r) - 1) / 2 for r in stages]
+
+    def tau(pc, pb):
+        sent = mpmath.polyval(ones, pc)
+        return sent / (sent * (1 + 1 / (1 - pb)) + mpmath.polyval(countdowns, pc))
+    return tau
+
+
+def _exact_map(scenario):
+    """The model's tau -> T(tau) map in mpmath arithmetic."""
+    n_w, n_l = scenario.n_w, scenario.n_l
+    p_fc = mpmath.mpf(scenario.p_fc)
+    cca = min(scenario.wifi.aifsn, scenario.laa.defer_slots)
+    exp_w = scenario.wifi.aifsn - cca + 1
+    exp_l = scenario.laa.defer_slots - cca + 1
+    chain_w, chain_l = _exact_chain(scenario.wifi), _exact_chain(scenario.laa)
+
+    def mapped(tau_w, tau_l):
+        # what a Wi-Fi node and an LAA node each see of the other stations
+        others_w = (1 - tau_l) ** n_l * (1 - tau_w) ** (n_w - 1)
+        others_l = (1 - tau_w) ** n_w * (1 - tau_l) ** (n_l - 1)
+        out_w = out_l = mpmath.mpf(0)
+        if n_w:
+            out_w = chain_w(1 - others_w, 1 - others_w ** exp_w)
+        if n_l:
+            pc_l = 1 - ((1 - p_fc) + p_fc * (1 - tau_w) ** n_w) * (1 - tau_l) ** (n_l - 1)
+            out_l = chain_l(pc_l, 1 - others_l ** exp_l)
+        return out_w, out_l
+    return mapped
+
+
+def _newton(residual, x, tol):
+    """Newton's method with a forward-difference Jacobian, halving a step
+    that leaves (0, 1) or does not shrink the residual."""
+    f = residual(x)
+    h = tol ** 0.5
+    for _ in range(200):
+        jac = mpmath.matrix(len(x), len(x))
+        for j in range(len(x)):
+            bumped = list(x)
+            bumped[j] += h
+            fj = residual(bumped)
+            for i in range(len(x)):
+                jac[i, j] = (fj[i] - f[i]) / h
+        step = mpmath.lu_solve(jac, mpmath.matrix(f))
+        if max(abs(si) for si in step) <= tol:
+            return [xi - si for xi, si in zip(x, step)]
+        norm = max(abs(v) for v in f)
+        scale = mpmath.mpf(1)
+        while True:
+            trial = [xi - scale * si for xi, si in zip(x, step)]
+            if all(0 < t < 1 for t in trial):
+                f_trial = residual(trial)
+                if max(abs(v) for v in f_trial) < norm:
+                    break
+            scale /= 2
+            if scale < tol:
+                raise ArithmeticError("no Newton step shrinks the residual")
+        x, f = trial, f_trial
+    raise ArithmeticError("Newton's method did not converge")
+
+
+def exact_equilibrium(scenario, digits=50):
+    """(tau_w, tau_l) at the coupled fixed point to ``digits`` digits.
+
+    Newton's method on tau - T(tau) = 0 in ``digits + 10``-digit
+    arithmetic, from every point of ``EXACT_STARTS``; all the runs must
+    land on one point, which is returned as mpmath numbers.  A side with
+    no station sends with probability 0 and is not an unknown.
+    """
+    sides = [i for i, n in enumerate((scenario.n_w, scenario.n_l)) if n]
+
+    def residual(x):
+        tau = [mpmath.mpf(0)] * 2
+        for i, v in zip(sides, x):
+            tau[i] = v
+        mapped = tau_map(*tau)
+        return [tau[i] - mapped[i] for i in sides]
+
+    with mpmath.workdps(digits + 10):
+        tau_map = _exact_map(scenario)
+        tol = mpmath.mpf(10) ** -(digits + 5)
+        roots = [_newton(residual, [mpmath.mpf(start[i]) for i in sides], tol)
+                 for start in EXACT_STARTS]
+        for root in roots[1:]:
+            if max(abs(a - b) for a, b in zip(root, roots[0])) > mpmath.mpf(10) ** -digits:
+                raise ArithmeticError(f"two fixed points: {roots[0]} and {root}")
+        tau = [mpmath.mpf(0)] * 2
+        for i, v in zip(sides, roots[0]):
+            tau[i] = v
+        return +tau[0], +tau[1]

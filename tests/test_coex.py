@@ -17,7 +17,8 @@ from coexcap.errors import (DegenerateBlockingError, EmptyBurstError,
                             UnsupportedBandwidthError)
 from coexcap.params import laa_class1, laa_class4, wifi_default
 from coexcap.tables import SweepSpec, scenario_for, sweep_rows
-from oracles import analytic_event_probs, chain_tau, contention_slots
+from oracles import (analytic_event_probs, chain_tau, contention_slots,
+                     exact_equilibrium)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +163,52 @@ def test_equilibrium_self_consistent():
     b_w = backoff_root_probability(scen.wifi, pc_w, pb_w)
     assert transmission_probability(b_w, pc_w, scen.wifi.max_retries) == \
         pytest.approx(eq.tau_w, abs=1e-9)
+
+
+#: The exact-oracle grid: n_w, n_l in 1..4, four widths, both classes and
+#: four p_fc values at 1500 B, 512 scenarios.
+ORACLE_GRID = [make_scenario(bw, cls, n_w=n_w, n_l=n_l, p_fc=p_fc)
+               for bw in (20, 40, 80, 160) for cls in (1, 4)
+               for n_w in range(1, 5) for n_l in range(1, 5)
+               for p_fc in (0.25, 0.5, 0.75, 1.0)]
+
+#: Damped Picard iterations summed over ``ORACLE_GRID``.
+ORACLE_GRID_ITERATIONS = 17_932
+
+
+def test_solver_within_exact_fixed_point():
+    # the step rule bounds one damped step, not the distance to the fixed
+    # point; against the 50-digit point the solver sits within 4.2e-10.
+    # The map reads no width, so the four widths share each exact point.
+    exact = {}
+    worst = 0.0
+    for scen in ORACLE_GRID:
+        key = (scen.wifi, scen.laa, scen.n_w, scen.n_l, scen.p_fc)
+        if key not in exact:
+            exact[key] = exact_equilibrium(scen)
+        eq = solve_equilibrium(scen)
+        for got, want in zip((eq.tau_w, eq.tau_l), exact[key]):
+            worst = max(worst, float(abs(got - want) / want))
+    assert len(ORACLE_GRID) == 512 and len(exact) == 128
+    assert worst <= 1e-9
+
+
+def test_exact_equilibrium_lone_station():
+    # alone, a station neither collides nor defers: tau = 2 / (cw_min + 3)
+    import mpmath
+    for scen, side, cw_min in ((make_scenario(80, 1, n_w=1, n_l=0), 0, 16),
+                               (make_scenario(80, 1, n_w=0, n_l=1), 1, 4),
+                               (make_scenario(80, 4, n_w=0, n_l=1), 1, 16)):
+        tau = exact_equilibrium(scen)
+        assert tau[1 - side] == 0
+        with mpmath.workdps(60):
+            assert abs(tau[side] - mpmath.mpf(2) / (cw_min + 3)) < mpmath.mpf(10) ** -50
+
+
+def test_iteration_path_is_pinned():
+    # a cheaper iteration must take the same steps
+    total = sum(solve_equilibrium(scen).iterations for scen in ORACLE_GRID)
+    assert total == ORACLE_GRID_ITERATIONS
 
 
 def test_equilibrium_deterministic():
