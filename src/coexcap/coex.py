@@ -137,53 +137,58 @@ def burst_durations(scenario: CoexScenario, n_mpdus: int,
 # backoff chain and coupling
 # ---------------------------------------------------------------------------
 
-def backoff_root_probability(profile, pc: float, pb: float) -> float:
-    """Stationary probability of the stage-0, counter-0 chain state."""
+def backoff_windows(profile) -> tuple[int, ...]:
+    """``cw - 1`` at each retry stage 0..max_retries: the largest counter
+    the stage draws."""
+    return tuple(contention_window(profile, r) - 1
+                 for r in range(profile.max_retries + 1))
+
+
+def backoff_tau(windows: tuple[int, ...], pc: float, pb: float) -> float:
+    """Probability of transmitting in a randomly chosen slot, for a chain
+    with the stage windows ``backoff_windows(profile)``.
+
+    Stage r is reached with weight pc**r; the stage-0, counter-0 state has
+    probability b00 = 1 / sum of the weighted stage lengths, and
+    tau = b00 * sum of the weights.
+    """
     if pb >= 1.0:
         raise DegenerateBlockingError("blocking probability of 1 stalls the countdown")
+    free = 1.0 - pb
+    twice_free = 2.0 * free
+    # both sums run left to right with +=: sum() of floats is compensated
+    # from Python 3.12 on, which would move the last bits between versions
     total = 0.0
-    for r in range(profile.max_retries + 1):
-        cw = contention_window(profile, r)
-        total += pc ** r * (1.0 + (2.0 + (1.0 - pb) * (cw - 1)) / (2.0 * (1.0 - pb)))
-    return 1.0 / total
+    sent = 0.0
+    for r, window in enumerate(windows):
+        weight = pc ** r
+        total += weight * (1.0 + (2.0 + free * window) / twice_free)
+        sent += weight
+    return 1.0 / total * sent     # b00 * weights, rounded as written
 
 
-def transmission_probability(b00: float, pc: float, max_retries: int) -> float:
-    """Probability of transmitting in a randomly chosen slot."""
-    return b00 * sum(pc ** r for r in range(max_retries + 1))
-
-
-def coupling_step(tau_w: float, tau_l: float, scenario: CoexScenario):
-    """Collision and countdown-blocking probabilities given both transmit rates."""
+def coupling_step(scenario: CoexScenario):
+    """The scenario's coupling map: (tau_w, tau_l) -> the collision and
+    countdown-blocking probabilities (pc_w, pc_l, pb_w, pb_l)."""
     n_w, n_l = scenario.n_w, scenario.n_l
     # a side with no nodes has tau = 0, so a power of -1 is 1.0 ** -1 = 1.0
-    quiet_w_peers = (1.0 - tau_w) ** (n_w - 1)   # no other Wi-Fi node
-    quiet_w_all = (1.0 - tau_w) ** n_w
-    quiet_l_peers = (1.0 - tau_l) ** (n_l - 1)
-    quiet_l_all = (1.0 - tau_l) ** n_l
+    peers_w, peers_l = n_w - 1, n_l - 1
     p_fc = scenario.p_fc
-
-    pc_w = 1.0 - quiet_l_all * quiet_w_peers
-    pc_l = 1.0 - ((1.0 - p_fc) + p_fc * quiet_w_all) * quiet_l_peers
+    no_fc = 1.0 - p_fc
     exp_w = scenario.wifi.aifsn - scenario.cca_min + 1
     exp_l = scenario.laa.defer_slots - scenario.cca_min + 1
-    pb_w = 1.0 - (quiet_l_all * quiet_w_peers) ** exp_w
-    pb_l = 1.0 - (quiet_w_all * quiet_l_peers) ** exp_l
-    return pc_w, pc_l, pb_w, pb_l
 
-
-def _tau_pair(pc_w, pc_l, pb_w, pb_l, scenario):
-    if scenario.n_w > 0:
-        b_w = backoff_root_probability(scenario.wifi, pc_w, pb_w)
-        tau_w = transmission_probability(b_w, pc_w, scenario.wifi.max_retries)
-    else:
-        tau_w = 0.0
-    if scenario.n_l > 0:
-        b_l = backoff_root_probability(scenario.laa, pc_l, pb_l)
-        tau_l = transmission_probability(b_l, pc_l, scenario.laa.max_retries)
-    else:
-        tau_l = 0.0
-    return tau_w, tau_l
+    def step(tau_w: float, tau_l: float):
+        quiet_w_peers = (1.0 - tau_w) ** peers_w   # no other Wi-Fi node
+        quiet_w_all = (1.0 - tau_w) ** n_w
+        quiet_l_peers = (1.0 - tau_l) ** peers_l
+        quiet_l_all = (1.0 - tau_l) ** n_l
+        pc_w = 1.0 - quiet_l_all * quiet_w_peers
+        pc_l = 1.0 - (no_fc + p_fc * quiet_w_all) * quiet_l_peers
+        pb_w = 1.0 - (quiet_l_all * quiet_w_peers) ** exp_w
+        pb_l = 1.0 - (quiet_w_all * quiet_l_peers) ** exp_l
+        return pc_w, pc_l, pb_w, pb_l
+    return step
 
 
 SOLVER_TOL = 1e-10
@@ -193,16 +198,20 @@ SOLVER_DAMPING = 0.5
 
 def solve_equilibrium(scenario: CoexScenario) -> Equilibrium:
     """Damped Picard iteration on (tau_w, tau_l); deterministic for a scenario."""
-    tau_w = 0.05 if scenario.n_w else 0.0
-    tau_l = 0.05 if scenario.n_l else 0.0
+    n_w, n_l = scenario.n_w, scenario.n_l
+    step = coupling_step(scenario)
+    windows_w = backoff_windows(scenario.wifi)
+    windows_l = backoff_windows(scenario.laa)
+    tau_w = 0.05 if n_w else 0.0
+    tau_l = 0.05 if n_l else 0.0
     residual = math.inf
     for iteration in range(1, SOLVER_MAX_ITERATIONS + 1):
-        pc_w, pc_l, pb_w, pb_l = coupling_step(tau_w, tau_l, scenario)
-        new_w, new_l = _tau_pair(pc_w, pc_l, pb_w, pb_l, scenario)
+        pc_w, pc_l, pb_w, pb_l = step(tau_w, tau_l)
+        new_w = backoff_tau(windows_w, pc_w, pb_w) if n_w else 0.0
+        new_l = backoff_tau(windows_l, pc_l, pb_l) if n_l else 0.0
         residual = max(abs(new_w - tau_w), abs(new_l - tau_l))
         if residual <= SOLVER_TOL:
-            pc_w, pc_l, pb_w, pb_l = coupling_step(new_w, new_l, scenario)
-            return Equilibrium(new_w, new_l, pc_w, pc_l, pb_w, pb_l,
+            return Equilibrium(new_w, new_l, *step(new_w, new_l),
                                residual, iteration)
         tau_w += SOLVER_DAMPING * (new_w - tau_w)
         tau_l += SOLVER_DAMPING * (new_l - tau_l)

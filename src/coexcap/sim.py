@@ -39,8 +39,6 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .coex import LAA_EFFICIENCY
 from .errors import ConfigError
 from .params import (LAA_SLOT_US, NON_HT_PREAMBLE_US, LaaClassProfile,
@@ -200,7 +198,9 @@ class _Simulation:
                             for d in self.data_air_ns]
         self.mpdu_bits = w.payload_bytes * 8
 
+        # imported here, so that the analytical commands never load numpy;
         # a uint64 key keeps every seed in [0, 2**64) on its own stream
+        import numpy as np
         self.rng = np.random.Generator(np.random.Philox(
             key=np.array([config.seed, 0], dtype=np.uint64)))
 

@@ -4,7 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -511,3 +515,47 @@ def test_analytical_golden_digest(tmp_path):
         assert run_cli(*argv, "--out", str(out)) == 0
         digest.update(out.read_bytes())
     assert digest.hexdigest() == ANALYTICAL_DIGEST
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+SHORT_SIM_CONFIG = """\
+[simulation]
+mode = dtm
+bandwidth_mhz = 40
+t_wifi_us = 5000
+t_laa_us = 5000
+measure_us = 50000
+seed = 7
+"""
+
+# sha256 of the short run's CSV followed by its trace
+SHORT_SIMULATE_DIGEST = "eb3e67ab1aff915fce3fa60c1ac626f1f62038250bc30bf08fa28c426b580690"
+
+# prints whether numpy is loaded after the import, after `table 1` and
+# after `simulate`, with both exit statuses in between
+FRESH_INTERPRETER = """\
+import json, sys
+import coexcap.cli
+table, config, out, trace = sys.argv[1:]
+seen = ["numpy" in sys.modules]
+seen.append(coexcap.cli.main(["table", "1", "--out", table]))
+seen.append("numpy" in sys.modules)
+seen.append(coexcap.cli.main(["simulate", config, "--out", out, "--trace", trace]))
+seen.append("numpy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_simulation_loads_numpy(tmp_path):
+    config = tmp_path / "short.ini"
+    config.write_text(SHORT_SIM_CONFIG)
+    table, out, trace = (tmp_path / name for name in ("table1.csv", "sim.csv", "sim.trace"))
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER, str(table), str(config), str(out), str(trace)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, 0, False, 0, True]
+    digest = hashlib.sha256(out.read_bytes() + trace.read_bytes()).hexdigest()
+    assert digest == SHORT_SIMULATE_DIGEST

@@ -1,21 +1,20 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import coex_durations, make_scenario
 from coexcap.coex import (COEXISTENCE_CACHE_SIZE, BurstDurations, CoexScenario,
-                          backoff_root_probability,
-                          burst_durations, capacity_no_coex,
-                          coexistence_throughputs, coupling_step,
-                          event_probabilities, mean_slot_duration,
-                          solve_equilibrium, throughputs,
-                          transmission_probability, wifi_collision_duration,
-                          wifi_success_duration)
+                          backoff_tau, backoff_windows, burst_durations,
+                          capacity_no_coex, coexistence_throughputs,
+                          coupling_step, event_probabilities,
+                          mean_slot_duration, solve_equilibrium, throughputs,
+                          wifi_collision_duration, wifi_success_duration)
 from coexcap.errors import (DegenerateBlockingError, EmptyBurstError,
                             UnsupportedBandwidthError)
-from coexcap.params import laa_class1, laa_class4, wifi_default
+from coexcap.params import contention_window, laa_class1, laa_class4, wifi_default
 from coexcap.tables import SweepSpec, scenario_for, sweep_rows
 from oracles import (analytic_event_probs, chain_tau, contention_slots,
                      exact_equilibrium)
@@ -83,46 +82,67 @@ def test_burst_durations_symmetry(scenario_80):
 # ---------------------------------------------------------------------------
 
 def test_root_probability_closed_forms(wifi, laa1):
-    assert backoff_root_probability(wifi, 0.0, 0.0) == pytest.approx(2 / 19, rel=1e-12)
-    assert backoff_root_probability(laa1, 0.0, 0.0) == pytest.approx(2 / 7, rel=1e-12)
+    # with no collision only stage 0 is used, so tau is the root
+    # probability b00 = 2 / (cw_min + 3)
+    assert backoff_tau(backoff_windows(wifi), 0.0, 0.0) == pytest.approx(2 / 19, rel=1e-12)
+    assert backoff_tau(backoff_windows(laa1), 0.0, 0.0) == pytest.approx(2 / 7, rel=1e-12)
 
 
 def test_root_probability_degenerate_blocking(wifi):
+    # a countdown that is always blocked leaves no root probability
     with pytest.raises(DegenerateBlockingError):
-        backoff_root_probability(wifi, 0.1, 1.0)
+        backoff_tau(backoff_windows(wifi), 0.1, 1.0)
 
 
 @given(st.floats(min_value=0.0, max_value=0.95), st.floats(min_value=0.0, max_value=0.95))
-def test_root_probability_decreases_with_pc(pc, pb):
-    from coexcap.params import wifi_default
-    wifi = wifi_default()
-    b = backoff_root_probability(wifi, pc, pb)
-    assert 0.0 < b <= 1.0
-    assert backoff_root_probability(wifi, min(pc + 0.02, 0.97), pb) <= b + 1e-12
+def test_backoff_tau_decreases_with_pc(pc, pb):
+    windows = backoff_windows(wifi_default())
+    tau = backoff_tau(windows, pc, pb)
+    assert 0.0 < tau <= 1.0
+    assert backoff_tau(windows, min(pc + 0.02, 0.97), pb) <= tau + 1e-12
 
 
 def test_transmission_probability(wifi):
-    b00 = backoff_root_probability(wifi, 0.0, 0.0)
-    assert transmission_probability(b00, 0.0, wifi.max_retries) == pytest.approx(b00)
-    assert transmission_probability(2 / 19, 0.0, 7) == pytest.approx(0.10526, abs=1e-5)
+    assert backoff_windows(wifi) == (15, 31, 63, 127, 255, 511, 1023, 1023)
+    assert backoff_tau(backoff_windows(wifi), 0.0, 0.0) == pytest.approx(0.10526, abs=1e-5)
 
 
 @given(st.floats(min_value=0.0, max_value=0.95), st.floats(min_value=0.0, max_value=0.9))
 def test_transmission_probability_in_unit_interval(pc, pb):
-    from coexcap.params import laa_class4
-    laa = laa_class4()
-    b00 = backoff_root_probability(laa, pc, pb)
-    tau = transmission_probability(b00, pc, laa.max_retries)
+    tau = backoff_tau(backoff_windows(laa_class4()), pc, pb)
     assert 0.0 <= tau <= 1.0
 
 
+def _two_step_tau(profile, pc, pb):
+    """The textbook chain in two steps: the stage-0, counter-0 probability
+    b00, then tau = b00 * sum of pc**r, each sum added left to right."""
+    total = 0.0
+    for r in range(profile.max_retries + 1):
+        cw = contention_window(profile, r)
+        total += pc ** r * (1.0 + (2.0 + (1.0 - pb) * (cw - 1)) / (2.0 * (1.0 - pb)))
+    b00 = 1.0 / total
+    weights = 0.0
+    for r in range(profile.max_retries + 1):
+        weights += pc ** r
+    return b00 * weights
+
+
+@pytest.mark.parametrize("profile", (wifi_default(), laa_class1(), laa_class4()),
+                         ids=("wifi", "laa1", "laa4"))
+@given(pc=st.floats(min_value=0.0, max_value=1.0),
+       pb=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_backoff_tau_is_the_two_step_formula(profile, pc, pb):
+    # one loop, the same operations in the same order: the same double
+    assert backoff_tau(backoff_windows(profile), pc, pb) == _two_step_tau(profile, pc, pb)
+
+
 def test_coupling_step_trivial_cases():
-    scen = make_scenario(80, n_w=1, n_l=1)
-    pc_w, _, _, _ = coupling_step(0.3, 0.0, scen)
+    step = coupling_step(make_scenario(80, n_w=1, n_l=1))
+    pc_w, _, _, _ = step(0.3, 0.0)
     assert pc_w == 0.0
-    _, pc_l, _, _ = coupling_step(0.0, 0.4, scen)
+    _, pc_l, _, _ = step(0.0, 0.4)
     assert pc_l == 0.0
-    _, _, pb_w, pb_l = coupling_step(0.0, 0.0, scen)
+    _, _, pb_w, pb_l = step(0.0, 0.0)
     assert pb_w == pb_l == 0.0
 
 
@@ -157,11 +177,10 @@ def test_equilibrium_converges_on_grid(bw, cls):
 def test_equilibrium_self_consistent():
     scen = make_scenario(80, laa_class=4, n_w=2, n_l=2)
     eq = solve_equilibrium(scen)
-    pc_w, pc_l, pb_w, pb_l = coupling_step(eq.tau_w, eq.tau_l, scen)
+    pc_w, pc_l, pb_w, pb_l = coupling_step(scen)(eq.tau_w, eq.tau_l)
     assert pc_w == pytest.approx(eq.pc_w, abs=1e-10)
     assert pb_l == pytest.approx(eq.pb_l, abs=1e-10)
-    b_w = backoff_root_probability(scen.wifi, pc_w, pb_w)
-    assert transmission_probability(b_w, pc_w, scen.wifi.max_retries) == \
+    assert backoff_tau(backoff_windows(scen.wifi), pc_w, pb_w) == \
         pytest.approx(eq.tau_w, abs=1e-9)
 
 
@@ -195,7 +214,6 @@ def test_solver_within_exact_fixed_point():
 
 def test_exact_equilibrium_lone_station():
     # alone, a station neither collides nor defers: tau = 2 / (cw_min + 3)
-    import mpmath
     for scen, side, cw_min in ((make_scenario(80, 1, n_w=1, n_l=0), 0, 16),
                                (make_scenario(80, 1, n_w=0, n_l=1), 1, 4),
                                (make_scenario(80, 4, n_w=0, n_l=1), 1, 16)):
