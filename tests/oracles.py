@@ -288,10 +288,14 @@ def exact_equilibrium(scenario, digits=50):
     """
     sides = [i for i, n in enumerate((scenario.n_w, scenario.n_l)) if n]
 
-    def residual(x):
+    def both(x):
         tau = [mpmath.mpf(0)] * 2
         for i, v in zip(sides, x):
             tau[i] = v
+        return tau
+
+    def residual(x):
+        tau = both(x)
         mapped = tau_map(*tau)
         return [tau[i] - mapped[i] for i in sides]
 
@@ -303,7 +307,4 @@ def exact_equilibrium(scenario, digits=50):
         for root in roots[1:]:
             if max(abs(a - b) for a, b in zip(root, roots[0])) > mpmath.mpf(10) ** -digits:
                 raise ArithmeticError(f"two fixed points: {roots[0]} and {root}")
-        tau = [mpmath.mpf(0)] * 2
-        for i, v in zip(sides, roots[0]):
-            tau[i] = v
-        return +tau[0], +tau[1]
+        return tuple(both(roots[0]))
