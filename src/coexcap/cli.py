@@ -20,9 +20,9 @@ import sys
 from . import tables
 from .errors import CoexcapError, ConfigError
 from .params import PROFILE_SECTIONS, load_preset, section_kwargs
-from .sharing import best_dma
+from .sharing import COMBINED_WINDOW_US, best_dma
 from .sim import DEFAULT_SEED, SimConfig, run_simulation
-from .tables import LAA_CLASSES, REGIMES, SweepSpec, scenario_for
+from .tables import LAA_CLASSES, REGIMES, SHARING_RATIOS, SweepSpec, scenario_for
 
 SEED_ENV_VAR = "COEXCAP_SEED"
 
@@ -70,6 +70,14 @@ def _emit(columns, rows, fmt: str, out_path: str | None, header_lines=()):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _refuse_unread(args, flags, reads, what: str):
+    """Refuse the flags given in ``args`` that ``what`` does not read;
+    ``flags`` maps each parser dest to its flag."""
+    unread = sorted(flags[dest] for dest in vars(args).keys() & flags.keys() - reads)
+    if unread:
+        raise ConfigError(f"{what} does not read {' '.join(unread)}")
+
+
 #: Flags of ``table`` as {parser dest: flag}.  The table parser leaves a
 #: flag that is not given out of the parsed arguments, so each table can
 #: reject the flags it does not read.
@@ -81,10 +89,7 @@ TABLE_READS = {1: set(), 6: {"payload"}, 7: set(), 8: {"payload"},
 
 def cmd_table(args) -> int:
     reads = TABLE_READS[args.table_id]
-    unread = sorted(TABLE_FLAGS[dest]
-                    for dest in vars(args).keys() & TABLE_FLAGS.keys() - reads)
-    if unread:
-        raise ConfigError(f"table {args.table_id} does not read {' '.join(unread)}")
+    _refuse_unread(args, TABLE_FLAGS, reads, f"table {args.table_id}")
     options = {"payload_bytes": args.payload} if "payload" in args else {}
     header = []
     if "seed" in reads:
@@ -100,7 +105,7 @@ def cmd_table(args) -> int:
 #: can reject the flags it does not read.
 SWEEP_FLAGS = {
     "bandwidth": ("--bandwidth", [80]),
-    "ratio": ("--ratio", [0.25, 0.5, 0.75]),
+    "ratio": ("--ratio", SHARING_RATIOS),
     "laa_class": ("--class", [1]),
     "payload": ("--payload", 1500),
     "regimes": ("--regimes", ["coex", "dtm", "dfm"]),
@@ -114,12 +119,9 @@ SWEEP_READS = {None: SWEEP_FLAGS.keys() - {"windows"},
 
 
 def cmd_sweep(args) -> int:
-    unread = sorted(SWEEP_FLAGS[dest][0]
-                    for dest in vars(args).keys() & SWEEP_FLAGS.keys()
-                    if dest not in SWEEP_READS[args.curve])
-    if unread:
-        mode = f"--curve {args.curve}" if args.curve else "without --curve"
-        raise ConfigError(f"sweep {mode} does not read {' '.join(unread)}")
+    _refuse_unread(args, {dest: flag for dest, (flag, _) in SWEEP_FLAGS.items()},
+                   SWEEP_READS[args.curve],
+                   f"sweep --curve {args.curve}" if args.curve else "sweep without --curve")
     for dest, (_, default) in SWEEP_FLAGS.items():
         setattr(args, dest, getattr(args, dest, default))
     # the simulator's 1 ns clock; a sub-normal window's share underflows to 0
@@ -266,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=LAA_CLASSES)
     p_sweep.add_argument("--regimes", nargs="+", choices=REGIMES)
     p_sweep.add_argument("--t-wifi", type=float,
-                         help="fix the Wi-Fi window (us) instead of splitting 10 ms")
+                         help="fix the Wi-Fi window (us) instead of splitting "
+                         f"{COMBINED_WINDOW_US / 1000:g} ms")
     p_sweep.add_argument("--curve", choices=("usage", "dtm-window-efficiency"),
                          default=None, help="emit a curve instead of the grid")
     p_sweep.add_argument("--windows", type=float, nargs="+",

@@ -37,6 +37,9 @@ def cts_downtime(basic_rate_mbps: float) -> float:
 
 DEFAULT_DOWNTIME_US = cts_downtime(BASIC_RATE_MBPS)   # 60 us
 
+#: The combined Wi-Fi plus scheduled window that a sharing ratio splits.
+COMBINED_WINDOW_US = 10_000.0
+
 
 def effective_channel_usage(combined_window_us: float) -> float:
     """Fraction of time the channel carries traffic under time multiplexing."""
@@ -279,7 +282,8 @@ def pick_best(dtm_utility: float, dfm_utility: float) -> tuple[str, bool]:
 
 
 def best_dma(channel_bw_mhz: int, wifi_ratio: float, scenario: CoexScenario,
-             alpha: float = 0.5, combined_window_us: float = 10_000.0) -> BestDmaResult:
+             alpha: float = 0.5,
+             combined_window_us: float = COMBINED_WINDOW_US) -> BestDmaResult:
     """Recommend the sharing approach that maximizes the weighted capacity."""
     t_wifi = combined_window_us * wifi_ratio
     schedule = DtmSchedule(t_wifi, combined_window_us - t_wifi)

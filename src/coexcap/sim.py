@@ -105,6 +105,9 @@ class SimConfig:
             if value is not None and not (math.isfinite(value) and _ns(value) >= least_ns):
                 raise ConfigError(f"{name} must be a finite duration of at least "
                                   f"{least_ns} ns, got {value}")
+        # the schedule refuses DTM windows that both round to 0 ns
+        if self.mode == "dtm":
+            DtmSchedule(_ns(self.t_wifi_us) / _NS, _ns(self.t_laa_us) / _NS)
         if self.payload_bytes is not None:
             if self.wifi.payload_bytes not in (WifiMacProfile.payload_bytes,
                                                self.payload_bytes):
@@ -170,178 +173,148 @@ def laa_burst_layout(t_laa_us: float, txop_us: float,
     return out
 
 
-class _Simulation:
-    """The access loop for one run; see module docstring for the model."""
-
-    def __init__(self, config: SimConfig):
-        self.cfg = config
-        w = config.wifi
-        self.wifi = w
-        self.rate = wifi_rate(config.bandwidth_mhz)
-        self.laa_rate = laa_rate(config.bandwidth_mhz)
-        self.n_full = max_mpdus_per_burst(w, self.rate, w.max_ppdu_us)
-
-        self.difs_ns = _ns(w.difs_us)
-        self.sifs_ns = _ns(w.sifs_us)
-        self.slot_ns = _ns(w.slot_us)
-        self.ba_air_ns = _ns(padded_airtime_us(w.block_ack_bytes * 8, w.basic_rate_mbps))
-        self.cts_air_ns = _ns(cts_airtime(w.basic_rate_mbps))
-        # beacons go out at the basic rate behind a non-HT preamble
-        self.beacon_air_ns = _ns(NON_HT_PREAMBLE_US + padded_airtime_us(
-            config.beacon_bytes * 8, w.basic_rate_mbps))
-        # indexed by MPDU count; non-decreasing, so a fit can bisect
-        self.data_air_ns = [_ns(w.phy_header_us
-                                + padded_airtime_us(n * w.subframe_bytes * 8,
-                                                    self.rate))
-                            for n in range(self.n_full + 1)]
-        self.exchange_ns = [d + self.sifs_ns + self.ba_air_ns
-                            for d in self.data_air_ns]
-        self.mpdu_bits = w.payload_bytes * 8
-
-        # imported here, so that the analytical commands never load numpy;
-        # a uint64 key keeps every seed in [0, 2**64) on its own stream
-        import numpy as np
-        self.rng = np.random.Generator(np.random.Philox(
-            key=np.array([config.seed, 0], dtype=np.uint64)))
-
-        self.m0 = _ns(config.warmup_us)
-        self.m1 = self.m0 + _ns(config.measure_us)
-        dtm = config.mode == "dtm"
-        self.t_laa_ns = _ns(config.t_laa_us) if dtm else 0
-        # with no scheduled window, Wi-Fi holds one window that never
-        # closes; a window that rounds to 0 ns is no window
-        self.t_wifi_ns = _ns(config.t_wifi_us) if self.t_laa_ns > 0 else math.inf
-        # every scheduled window has the same length, hence the same layout
-        # and the same CTS count; a scheduled window starts after m0, so a
-        # burst at an offset of measure_us or more starts after m1
-        self.laa_bursts = laa_burst_layout(self.t_laa_ns / _NS,
-                                           config.laa.txop_shared_us,
-                                           config.laa.laa_slot_us,
-                                           config.measure_us)
-        # the schedule refuses windows that both round to 0 ns
-        self.cts_per_window = (DtmSchedule(_ns(config.t_wifi_us) / _NS,
-                                           self.t_laa_ns / _NS).reservations
-                               if dtm else 0)
-        self.beacon_interval_ns = _ns(config.beacon_interval_us)
-
-        self.tracing = config.collect_trace
-        self.trace: list[str] = []
-
-    def _log(self, t_ns: int, node: str, kind: str, dur_ns: int, outcome: str):
-        self.trace.append(f"{t_ns / _NS:.3f}\t{node}\t{kind}\t"
-                          f"{dur_ns / _NS:.3f}\t{outcome}")
-
-    def _warmup_frames(self):
-        for t_us, node, kind, dur_us in ((5000, "sta", "assoc-req", 60),
-                                         (5100, "ap", "assoc-resp", 60),
-                                         (10000, "sta", "arp", 50),
-                                         (10100, "ap", "arp", 50)):
-            if _ns(t_us) < self.m0:
-                self._log(_ns(t_us), node, kind, _ns(dur_us), "ok")
-
-    def run(self) -> SimResult:
-        tracing, log = self.tracing, self._log
-        if tracing:
-            self._warmup_frames()
-        m0, m1 = self.m0, self.m1
-        difs, slot, sifs = self.difs_ns, self.slot_ns, self.sifs_ns
-        data_air, exchange, ba_air = self.data_air_ns, self.exchange_ns, self.ba_air_ns
-        beacon_air, interval = self.beacon_air_ns, self.beacon_interval_ns
-        t_wifi, t_laa, cts_air = self.t_wifi_ns, self.t_laa_ns, self.cts_air_ns
-        cw_min, mpdu_bits = self.wifi.cw_min, self.mpdu_bits
-
-        draws: list[int] = []             # unused backoff counters, last first
-        counter = None                    # carried across a handover, if set
-        beacon_due = interval
-        bits = tx = beacons = handovers = 0
-        laa_airtime = window = 0
-
-        # each pass is one access from t: the AP sends in its window, or
-        # carries its counter to the handover one SIFS after the window
-        # closes; every frame ends by the close, so the passes run in time
-        # order, and the run stops at the first instant after m1
-        t = m0
-        window_end = t + t_wifi
-        window += max(0, min(window_end, m1) - t)
-        while True:
-            if counter is None:
-                if not draws:
-                    draws = self.rng.integers(0, cw_min, size=_DRAW_BLOCK).tolist()[::-1]
-                counter = draws.pop()
-            ready = t + difs + counter * slot
-            if ready < window_end:
-                if ready > m1:
-                    break
-                counter = None
-                room = window_end - ready
-                if ready >= beacon_due:
-                    if beacon_air <= room:
-                        t = ready + beacon_air
-                        if t > m1:
-                            break
-                        beacons += 1
-                        # dues that fell while it waited or was on the air fold into it
-                        beacon_due = (t // interval + 1) * interval
-                        if tracing:
-                            log(ready, "ap", "beacon", beacon_air, "ok")
-                        continue
-                else:
-                    # the largest MPDU count whose exchange fits, or 0
-                    n = bisect_right(exchange, room, 1) - 1
-                    if n:
-                        # like every line, the data line is kept only if
-                        # the frame ends by the end of the measurement
-                        if tracing and ready + data_air[n] <= m1:
-                            log(ready, "ap", "data", data_air[n], "ok")
-                        t = ready + exchange[n]
-                        if t > m1:
-                            break
-                        # every exchange ends after m0, and this one ends
-                        # by m1: it ends in [m0, m1], so its bits count
-                        tx += 1
-                        bits += n * mpdu_bits
-                        if tracing:
-                            log(t - ba_air, "sta", "block-ack", ba_air, "ok")
-                        continue
-                counter = 0
-            else:
-                counter -= min(counter, max(0, (window_end - t - difs) // slot))
-
-            # the handover: the CTS-to-self reserves the scheduled window,
-            # whose deterministic bursts are accounted (and logged) at once,
-            # and the next Wi-Fi window opens when the NAV expires
-            t = window_end + sifs
-            if t > m1:
-                break
-            if tracing:
-                log(t, "ap", "cts", cts_air, "ok")
-            handovers += 1
-            laa_start = t + cts_air
-            for offset, dur in self.laa_bursts:
-                start = laa_start + offset
-                laa_airtime += max(0, min(start + dur, m1) - start)
-                if tracing and start + dur <= m1:
-                    log(start, "enb", "laa-burst", dur, "ok")
-            t = laa_start + t_laa
-            window_end = t + t_wifi
-            window += max(0, min(window_end, m1) - t)
-
-        measure_us = self.cfg.measure_us
-        return SimResult(
-            wifi_throughput_mbps=bits / measure_us,
-            laa_airtime_throughput_mbps=LAA_EFFICIENCY * self.laa_rate
-            * (laa_airtime / _NS) / measure_us,
-            counts=SimCounts(tx, handovers * self.cts_per_window, beacons),
-            seed=self.cfg.seed,
-            measure_us=measure_us,
-            nav_total_us=handovers * t_laa / _NS,
-            wifi_window_us=window / _NS,
-            trace=tuple(self.trace) if tracing else None,
-        )
-
-
 def run_simulation(config: SimConfig) -> SimResult:
     """Run one seeded simulation in the config's mode: saturated downlink on
     an exclusively allocated bandwidth (DFM), or alternating Wi-Fi and
     scheduled windows with CTS-to-self handovers (DTM)."""
-    return _Simulation(config).run()
+    w = config.wifi
+    rate = wifi_rate(config.bandwidth_mhz)
+    laa_rate_mbps = laa_rate(config.bandwidth_mhz)
+    n_full = max_mpdus_per_burst(w, rate, w.max_ppdu_us)
+
+    difs, sifs, slot = _ns(w.difs_us), _ns(w.sifs_us), _ns(w.slot_us)
+    ba_air = _ns(padded_airtime_us(w.block_ack_bytes * 8, w.basic_rate_mbps))
+    cts_air = _ns(cts_airtime(w.basic_rate_mbps))
+    # beacons go out at the basic rate behind a non-HT preamble
+    beacon_air = _ns(NON_HT_PREAMBLE_US + padded_airtime_us(
+        config.beacon_bytes * 8, w.basic_rate_mbps))
+    # indexed by MPDU count; non-decreasing, so a fit can bisect
+    data_air = [_ns(w.phy_header_us + padded_airtime_us(n * w.subframe_bytes * 8, rate))
+                for n in range(n_full + 1)]
+    exchange = [d + sifs + ba_air for d in data_air]
+    cw_min, mpdu_bits = w.cw_min, w.payload_bytes * 8
+
+    # imported here, so that the analytical commands never load numpy;
+    # a uint64 key keeps every seed in [0, 2**64) on its own stream
+    import numpy as np
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([config.seed, 0], dtype=np.uint64)))
+
+    m0 = _ns(config.warmup_us)
+    m1 = m0 + _ns(config.measure_us)
+    dtm = config.mode == "dtm"
+    t_laa = _ns(config.t_laa_us) if dtm else 0
+    # with no scheduled window, Wi-Fi holds one window that never
+    # closes; a window that rounds to 0 ns is no window
+    t_wifi = _ns(config.t_wifi_us) if t_laa > 0 else math.inf
+    # every scheduled window has the same length, hence the same layout
+    # and the same CTS count; a scheduled window starts after m0, so a
+    # burst at an offset of measure_us or more starts after m1
+    laa_bursts = laa_burst_layout(t_laa / _NS, config.laa.txop_shared_us,
+                                  config.laa.laa_slot_us, config.measure_us)
+    cts_per_window = (DtmSchedule(_ns(config.t_wifi_us) / _NS, t_laa / _NS).reservations
+                      if dtm else 0)
+    interval = _ns(config.beacon_interval_us)
+
+    tracing = config.collect_trace
+    trace: list[str] = []
+
+    def log(t_ns: int, node: str, kind: str, dur_ns: int):
+        trace.append(f"{t_ns / _NS:.3f}\t{node}\t{kind}\t{dur_ns / _NS:.3f}\tok")
+
+    if tracing:
+        for t_us, node, kind, dur_us in ((5000, "sta", "assoc-req", 60),
+                                         (5100, "ap", "assoc-resp", 60),
+                                         (10000, "sta", "arp", 50),
+                                         (10100, "ap", "arp", 50)):
+            if _ns(t_us) < m0:
+                log(_ns(t_us), node, kind, _ns(dur_us))
+
+    draws: list[int] = []             # unused backoff counters, last first
+    counter = None                    # carried across a handover, if set
+    beacon_due = interval
+    bits = tx = beacons = handovers = 0
+    laa_airtime = window = 0
+
+    # each pass is one access from t: the AP sends in its window, or
+    # carries its counter to the handover one SIFS after the window
+    # closes; every frame ends by the close, so the passes run in time
+    # order, and the run stops at the first instant after m1
+    t = m0
+    window_end = t + t_wifi
+    window += max(0, min(window_end, m1) - t)
+    while True:
+        if counter is None:
+            if not draws:
+                draws = rng.integers(0, cw_min, size=_DRAW_BLOCK).tolist()[::-1]
+            counter = draws.pop()
+        ready = t + difs + counter * slot
+        if ready < window_end:
+            if ready > m1:
+                break
+            counter = None
+            room = window_end - ready
+            if ready >= beacon_due:
+                if beacon_air <= room:
+                    t = ready + beacon_air
+                    if t > m1:
+                        break
+                    beacons += 1
+                    # dues that fell while it waited or was on the air fold into it
+                    beacon_due = (t // interval + 1) * interval
+                    if tracing:
+                        log(ready, "ap", "beacon", beacon_air)
+                    continue
+            else:
+                # the largest MPDU count whose exchange fits, or 0
+                n = bisect_right(exchange, room, 1) - 1
+                if n:
+                    # like every line, the data line is kept only if
+                    # the frame ends by the end of the measurement
+                    if tracing and ready + data_air[n] <= m1:
+                        log(ready, "ap", "data", data_air[n])
+                    t = ready + exchange[n]
+                    if t > m1:
+                        break
+                    # every exchange ends after m0, and this one ends
+                    # by m1: it ends in [m0, m1], so its bits count
+                    tx += 1
+                    bits += n * mpdu_bits
+                    if tracing:
+                        log(t - ba_air, "sta", "block-ack", ba_air)
+                    continue
+            counter = 0
+        else:
+            counter -= min(counter, max(0, (window_end - t - difs) // slot))
+
+        # the handover: the CTS-to-self reserves the scheduled window,
+        # whose deterministic bursts are accounted (and logged) at once,
+        # and the next Wi-Fi window opens when the NAV expires
+        t = window_end + sifs
+        if t > m1:
+            break
+        if tracing:
+            log(t, "ap", "cts", cts_air)
+        handovers += 1
+        laa_start = t + cts_air
+        for offset, dur in laa_bursts:
+            start = laa_start + offset
+            laa_airtime += max(0, min(start + dur, m1) - start)
+            if tracing and start + dur <= m1:
+                log(start, "enb", "laa-burst", dur)
+        t = laa_start + t_laa
+        window_end = t + t_wifi
+        window += max(0, min(window_end, m1) - t)
+
+    measure_us = config.measure_us
+    return SimResult(
+        wifi_throughput_mbps=bits / measure_us,
+        laa_airtime_throughput_mbps=LAA_EFFICIENCY * laa_rate_mbps
+        * (laa_airtime / _NS) / measure_us,
+        counts=SimCounts(tx, handovers * cts_per_window, beacons),
+        seed=config.seed,
+        measure_us=measure_us,
+        nav_total_us=handovers * t_laa / _NS,
+        wifi_window_us=window / _NS,
+        trace=tuple(trace) if tracing else None,
+    )

@@ -15,8 +15,9 @@ from .coex import CoexScenario, capacity_no_coex, coexistence_throughputs
 from .errors import EmptyBurstError, InfeasiblePartitionError
 from .params import (LAA_RATES_MBPS, WIFI_RATES_MBPS, laa_class1, laa_class4,
                      wifi_default)
-from .sharing import (DtmSchedule, best_dma, dfm_capacities, dfm_partition,
-                      dtm_capacities, effective_channel_usage, windowed_capacity)
+from .sharing import (COMBINED_WINDOW_US, DtmSchedule, best_dma, dfm_capacities,
+                      dfm_partition, dtm_capacities, effective_channel_usage,
+                      windowed_capacity)
 from .sim import DEFAULT_SEED, SimConfig, run_simulation
 
 WIFI_BANDWIDTHS = tuple(sorted(WIFI_RATES_MBPS))
@@ -152,7 +153,7 @@ class SweepSpec:
     classes: tuple[int, ...] = (1,)
     payloads: tuple[int, ...] = (1500,)
     regimes: tuple[str, ...] = REGIMES
-    combined_window_us: float = 10_000.0
+    combined_window_us: float = COMBINED_WINDOW_US
     t_wifi_us: float | None = None     # fixed Wi-Fi window instead of combined split
 
     def __post_init__(self):

@@ -155,6 +155,14 @@ def test_simulate_env_seed_override(tmp_path, sim_config_path, monkeypatch):
     assert out.read_text().startswith("# seed = 4242\n")
 
 
+@pytest.mark.parametrize("argv", [("table", "9"), ("simulate", "CONFIG")], ids=" ".join)
+def test_env_seed_must_be_an_integer(capsys, monkeypatch, sim_config_path, argv):
+    monkeypatch.setenv("COEXCAP_SEED", "abc")
+    assert run_cli(*(sim_config_path if a == "CONFIG" else a for a in argv)) == 1
+    assert capsys.readouterr().err == \
+        "error: COEXCAP_SEED must be an integer, got 'abc'\n"
+
+
 def test_simulate_dfm_matches_reference(tmp_path):
     cfg = tmp_path / "dfm160.ini"
     cfg.write_text("[simulation]\nmode = dfm\nbandwidth_mhz = 160\nseed = 2\n")
@@ -325,6 +333,9 @@ def test_simulate_never_crashes_on_config_value(tmp_path, capsys, deadline,
     ("[simulation]\nbeacon_interval_us = 0.0001\n", "beacon_interval_us"),
     ("[simulation]\nmode = dtm\nt_wifi_us = 0\nt_laa_us = 0\n",
      "at least one window must be positive"),
+    ("[simulation]\nmode = dtm\nt_wifi_us = 0\nt_laa_us = 0.0004\n",
+     "at least one window must be positive"),
+    ("[wifi]\npreset = table2-wifi\n", "needs a [simulation] section"),
 ])
 def test_simulate_rejects_config(tmp_path, capsys, deadline, text, named):
     cfg = tmp_path / "bad.ini"

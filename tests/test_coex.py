@@ -12,8 +12,9 @@ from coexcap.coex import (COEXISTENCE_CACHE_SIZE, BurstDurations, CoexScenario,
                           coupling_step, event_probabilities,
                           mean_slot_duration, solve_equilibrium, throughputs,
                           wifi_collision_duration, wifi_success_duration)
-from coexcap.errors import (DegenerateBlockingError, EmptyBurstError,
-                            UnsupportedBandwidthError)
+from coexcap import coex
+from coexcap.errors import (ConvergenceError, DegenerateBlockingError,
+                            EmptyBurstError, UnsupportedBandwidthError)
 from coexcap.params import contention_window, laa_class1, laa_class4, wifi_default
 from coexcap.tables import SweepSpec, scenario_for, sweep_rows
 from oracles import (analytic_event_probs, chain_tau, contention_slots,
@@ -227,6 +228,26 @@ def test_iteration_path_is_pinned():
     # a cheaper iteration must take the same steps
     total = sum(solve_equilibrium(scen).iterations for scen in ORACLE_GRID)
     assert total == ORACLE_GRID_ITERATIONS
+
+
+def test_solver_raises_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(coex, "SOLVER_MAX_ITERATIONS", 3)
+    with pytest.raises(ConvergenceError, match="after 3 iterations") as info:
+        solve_equilibrium(make_scenario(80, 1, n_w=2, n_l=2))
+    assert info.value.iterations == 3
+    assert info.value.residual == pytest.approx(2.761e-02, abs=1e-5)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(n_w=0, n_l=0), "at least one transmitter"),
+    (dict(n_w=-1, n_l=2), "at least one transmitter"),
+    (dict(p_fc=-0.1), "p_fc"),
+    (dict(p_fc=1.5), "p_fc"),
+    (dict(p_fc=math.nan), "p_fc"),
+])
+def test_scenario_refuses_invalid_inputs(kw, message):
+    with pytest.raises(ValueError, match=message):
+        make_scenario(80, **kw)
 
 
 def test_equilibrium_deterministic():

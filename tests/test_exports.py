@@ -6,6 +6,7 @@ underscore, needs at least one reference in the package's modules
 (``__init__.py`` excluded), ``scripts/`` or ``perfbench/`` (test files
 excluded). Imports and the name's own ``def``/``class``/assignment do not
 count, so a function that only the test suite calls shows up here.
+No test module imports a leading-underscore name from the package.
 """
 
 import ast
@@ -64,3 +65,17 @@ def test_every_public_definition_has_a_program_reference():
     unread = sorted(f"{module}:{name}" for module, name in definitions
                     if name not in seen)
     assert unread == [], f"defined but read only by tests: {unread}"
+
+
+def test_no_test_imports_a_private_name():
+    # a test reads the package through its public names; a private one
+    # would pin the code's inner layout instead of its behaviour
+    tests = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("test_*.py")])
+    assert tests
+    private = sorted(f"{path.name}: {node.module}.{alias.name}"
+                     for path in tests
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.ImportFrom)
+                     and (node.module or "").split(".")[0] == "coexcap"
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == [], f"tests import private names: {private}"

@@ -17,7 +17,7 @@ from coexcap.errors import ConfigError, InvalidWindowError
 from coexcap.params import WifiMacProfile, laa_class4, laa_rate, wifi_default
 from coexcap.sharing import MAX_CTS_RESERVATION_US, cts_airtime, cts_downtime
 from coexcap import sim
-from coexcap.sim import SimConfig, _Simulation, laa_burst_layout, run_simulation
+from coexcap.sim import SimConfig, laa_burst_layout, run_simulation
 
 SHORT = 1_000_000.0   # 1 s measurement keeps unit tests quick
 
@@ -107,10 +107,11 @@ def test_dtm_tiny_wifi_window_starves_wifi():
 
 
 def test_windows_below_one_ns_rejected():
-    # both windows round to 0 ns, so no schedule exists to reserve
-    for t_wifi_us, t_laa_us in ((0.0, 1e-4), (0.0, 0.0), (1e-4, 0.0)):
-        with pytest.raises(InvalidWindowError):
-            run_simulation(dtm_config(t_wifi_us=t_wifi_us, t_laa_us=t_laa_us))
+    # both windows round to 0 ns, so no schedule exists to reserve: the
+    # config is refused when it is built, not when it runs
+    for t_wifi_us, t_laa_us in ((0.0, 4e-4), (0.0, 1e-4), (0.0, 0.0), (1e-4, 0.0)):
+        with pytest.raises(InvalidWindowError, match="at least one window"):
+            SimConfig(mode="dtm", t_wifi_us=t_wifi_us, t_laa_us=t_laa_us)
     # a 0 ns SIFS would send the CTS in the instant the last burst ends
     with pytest.raises(ConfigError):
         dtm_config(t_wifi_us=0.0, wifi=replace(wifi_default(), sifs_us=4e-4))
@@ -233,13 +234,12 @@ def test_long_scheduled_window_lays_out_only_the_measurement():
                     measure_us=1000.0, warmup_us=0.0)
     tracemalloc.start()
     try:
-        sim = _Simulation(cfg)
+        result = run_simulation(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, peak
-    assert len(sim.laa_bursts) == 1
-    assert sim.run().laa_airtime_throughput_mbps == 0.0
+    assert result.laa_airtime_throughput_mbps == 0.0
 
 
 def test_laa_window_airtime_matches_simulation():
@@ -333,6 +333,19 @@ def test_golden_digest():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
+def frames(cfg):
+    """{kind: [(start, duration)]} in ns over the first 20 ms of a traced
+    run of ``cfg``, starts counted from the start of the measurement."""
+    result = run_simulation(replace(cfg, measure_us=20_000.0, collect_trace=True))
+    m0 = round(cfg.warmup_us * 1000)
+    out = {}
+    for line in result.trace:
+        t, _, kind, dur, _ = line.split("\t")
+        out.setdefault(kind, []).append((round(float(t) * 1000) - m0,
+                                         round(float(dur) * 1000)))
+    return out
+
+
 # sha256 over short traced runs that the golden configs miss: the extreme
 # contention windows, no warm-up, 50 us and empty windows, frequent
 # beacons, bursts of at most 3 MPDUs, and measurement ends spread 37.3 us
@@ -354,13 +367,13 @@ def edge_configs():
                         warmup_us=(0.0, 100_000.0, 3000.0)[k % 3],
                         beacon_interval_us=(102_400.0, 1000.0)[k % 7 == 0],
                         measure_us=1000.0 + 37.3 * k, collect_trace=True)
-    # cw_min 1 draws no backoff, so the second exchange starts at a known time
+    # cw_min 1 draws no backoff, so the second exchange starts at a known
+    # time: two DIFS and one exchange in
     lone = SimConfig(wifi=WifiMacProfile(cw_min=1), warmup_us=0.0, collect_trace=True)
-    sim = _Simulation(lone)
-    second = 2 * sim.difs_ns + sim.exchange_ns[sim.n_full]
-    for offset in (0, sim.data_air_ns[sim.n_full],
-                   sim.exchange_ns[sim.n_full] - sim.ba_air_ns,
-                   sim.exchange_ns[sim.n_full]):
+    seen = frames(lone)
+    (first, data_air), (second, _) = seen["data"][:2]
+    ack_start, ba_air = seen["block-ack"][0]
+    for offset in (0, data_air, ack_start - first, ack_start + ba_air - first):
         yield replace(lone, measure_us=(second + offset) / 1000)
 
 
@@ -387,13 +400,14 @@ def loop_edge_configs():
         data = SimConfig(mode="dtm", t_wifi_us=5000.0, t_laa_us=3000.0,
                          wifi=WifiMacProfile(cw_min=1), warmup_us=warmup_us,
                          collect_trace=True)
-        sim = _Simulation(data)
-        cts_due = round(data.t_wifi_us * 1000) + sim.sifs_ns
-        nav_end = cts_due + sim.cts_air_ns + round(data.t_laa_us * 1000)
-        ack_end = sim.difs_ns + sim.exchange_ns[sim.n_full]
+        seen = frames(data)
+        difs = seen["data"][0][0]
+        cts_due, cts_air = seen["cts"][0]
+        nav_end = cts_due + cts_air + round(data.t_laa_us * 1000)
+        ack_end = sum(seen["block-ack"][0])
         # a beacon due at the first ready time takes the first access
-        beacon = replace(data, beacon_interval_us=sim.difs_ns / 1000)
-        beacon_end = sim.difs_ns + sim.beacon_air_ns
+        beacon = replace(data, beacon_interval_us=difs / 1000)
+        beacon_end = sum(frames(beacon)["beacon"][0])
         for cfg, end_ns in ((data, cts_due), (data, nav_end), (data, ack_end),
                             (data, 2 * nav_end), (beacon, beacon_end)):
             for delta in (-1, 0, 1):
