@@ -137,15 +137,9 @@ def cmd_sweep(args) -> int:
         columns, rows = tables.window_efficiency_rows(
             args.windows, bandwidth_mhz=args.bandwidth[0], payload_bytes=args.payload)
     else:
-        try:
-            spec = SweepSpec(bandwidths=tuple(args.bandwidth),
-                             ratios=tuple(args.ratio),
-                             classes=tuple(args.laa_class),
-                             payloads=(args.payload,),
-                             regimes=tuple(args.regimes),
-                             t_wifi_us=args.t_wifi)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        spec = SweepSpec(bandwidths=tuple(args.bandwidth), ratios=tuple(args.ratio),
+                         classes=tuple(args.laa_class), payloads=(args.payload,),
+                         regimes=tuple(args.regimes), t_wifi_us=args.t_wifi)
         columns, rows = tables.sweep_rows(spec)
     _emit(columns, rows, args.format, args.out)
     return 0
@@ -154,43 +148,45 @@ def cmd_sweep(args) -> int:
 def _sim_config_from_file(path: str, seed_override: int | None,
                           trace: bool) -> SimConfig:
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
+    # utf-8-sig reads a BOM-led file, and the same way in every locale
     try:
-        read = cp.read(path)
+        with open(path, encoding="utf-8-sig") as fh:
+            cp.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         # parser messages span lines; the error report is one line
         raise ConfigError(f"cannot parse config file {path!r}: "
                           + " ".join(str(exc).split())) from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    # a [DEFAULT] key would reach every section
+    extra = sorted(set(cp.sections()) - {"simulation", *PROFILE_SECTIONS})
+    if extra or cp.defaults():
+        raise ConfigError("config file sections are [simulation], [wifi] and [laa], and "
+                          f"[DEFAULT] sets no key; got {extra or dict(cp.defaults())}")
     if not cp.has_section("simulation"):
         raise ConfigError("config file needs a [simulation] section")
     section = dict(cp.items("simulation"))
     kwargs = {"collect_trace": trace}
-    try:
-        if "payload_bytes" in section and cp.has_option("wifi", "payload_bytes"):
-            raise ConfigError("the payload has more than one source; give one of "
-                              "[simulation] payload_bytes or [wifi] payload_bytes")
-        # each side's profile comes from one source: a preset named in
-        # [simulation] or in its own section, or that section's fields
-        for side, cls in PROFILE_SECTIONS.items():
-            body = dict(cp.items(side)) if cp.has_section(side) else {}
-            sources = [p for p in (section.pop(f"{side}_preset", None),
-                                   body.pop("preset", None)) if p is not None]
-            if len(sources) + bool(body) > 1:
-                raise ConfigError(f"the {side} profile has more than one source; give "
-                                  f"one of {side}_preset, [{side}] preset or [{side}] fields")
-            if sources:
-                kwargs[side] = load_preset(sources[0])
-            elif body:
-                kwargs[side] = cls(**section_kwargs(cls, side, body.items()))
-        kwargs.update(section_kwargs(SimConfig, "simulation", section.items()))
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        elif "seed" not in kwargs:
-            kwargs["seed"] = default_seed()
-        return SimConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid simulation config: {exc}") from exc
+    if "payload_bytes" in section and cp.has_option("wifi", "payload_bytes"):
+        raise ConfigError("the payload has more than one source; give one of "
+                          "[simulation] payload_bytes or [wifi] payload_bytes")
+    # each side's profile comes from one source: a preset named in
+    # [simulation] or in its own section, or that section's fields
+    for side, cls in PROFILE_SECTIONS.items():
+        body = dict(cp.items(side)) if cp.has_section(side) else {}
+        sources = [p for p in (section.pop(f"{side}_preset", None),
+                               body.pop("preset", None)) if p is not None]
+        if len(sources) + bool(body) > 1:
+            raise ConfigError(f"the {side} profile has more than one source; give "
+                              f"one of {side}_preset, [{side}] preset or [{side}] fields")
+        if sources:
+            kwargs[side] = load_preset(sources[0])
+        elif body:
+            kwargs[side] = cls(**section_kwargs(cls, side, body.items()))
+    kwargs.update(section_kwargs(SimConfig, "simulation", section.items()))
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
+    elif "seed" not in kwargs:
+        kwargs["seed"] = default_seed()
+    return SimConfig(**kwargs)
 
 
 def cmd_simulate(args) -> int:
@@ -202,17 +198,11 @@ def cmd_simulate(args) -> int:
           header_lines=[f"seed = {config.seed}", f"mode = {config.mode}"])
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.trace))
-            if result.trace:
-                fh.write("\n")
+            fh.write("\n".join([*result.trace, ""]))
     return 0
 
 
 def cmd_optimize(args) -> int:
-    if not 0.0 <= args.alpha <= 1.0:
-        raise ConfigError(f"--alpha must lie in [0, 1], got {args.alpha:g}")
-    if not 0.0 < args.ratio <= 1.0:
-        raise ConfigError(f"--ratio must lie in (0, 1], got {args.ratio:g}")
     scenario = scenario_for(args.bandwidth, args.laa_class, args.payload)
     pick = best_dma(args.bandwidth, args.ratio, scenario, alpha=args.alpha)
     columns = ["approach", "c_w_mbps", "c_l_mbps", "aggregated_mbps",
@@ -301,8 +291,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "payload" in args and args.payload <= 0:
-            raise ConfigError(f"--payload must be positive, got {args.payload}")
         return args.func(args)
     except (CoexcapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,9 +13,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DegenerateBlockingError, EmptyBurstError
+from .errors import ConfigError, ConvergenceError, DegenerateBlockingError
 from .params import (LaaClassProfile, WifiMacProfile, contention_window,
-                     laa_rate, max_mpdus_per_burst, wifi_rate)
+                     full_burst_mpdus, laa_rate, max_mpdus_per_burst, wifi_rate)
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,9 @@ class CoexScenario:
 
     def __post_init__(self):
         if self.n_w < 0 or self.n_l < 0 or self.n_w + self.n_l < 1:
-            raise ValueError("need at least one transmitter")
+            raise ConfigError("need at least one transmitter")
         if not 0.0 <= self.p_fc <= 1.0:
-            raise ValueError("p_fc must be a probability")
+            raise ConfigError("p_fc must be a probability")
 
     @property
     def wifi_rate_mbps(self) -> float:
@@ -284,9 +284,7 @@ def coexistence_throughputs(scenario: CoexScenario) -> tuple[float, float]:
         laa_dur = scenario.laa.gamma_us + scenario.laa.txop_coex_us
         dur = BurstDurations(0, scenario.laa.txop_coex_us, 0.0, 0.0, laa_dur, laa_dur)
         return throughputs(solve_equilibrium(scenario), scenario, dur)
-    n = scenario.mpdus_per_burst()
-    if n == 0:
-        raise EmptyBurstError("no MPDU fits a Wi-Fi burst")
+    n = full_burst_mpdus(scenario.wifi, scenario.bandwidth_mhz)
     dur = burst_durations(scenario, n, scenario.laa.txop_coex_us)
     return throughputs(solve_equilibrium(scenario), scenario, dur)
 

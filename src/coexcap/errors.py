@@ -34,5 +34,5 @@ class InfeasiblePartitionError(CoexcapError):
     """Requested frequency split cannot be built from standard widths."""
 
 
-class ConfigError(CoexcapError):
-    """Malformed configuration file or preset name."""
+class ConfigError(CoexcapError, ValueError):
+    """Malformed configuration or out-of-range input; also a ``ValueError``."""

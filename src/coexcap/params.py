@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
 
-from .errors import ConfigError, UnsupportedBandwidthError
+from .errors import ConfigError, EmptyBurstError, UnsupportedBandwidthError
 
 AMPDU_HARD_LIMIT_MPDUS = 64      # block ACK window
 AMPDU_DELIMITER_BYTES = 4        # MPDU delimiter ahead of each A-MPDU subframe
@@ -36,7 +36,7 @@ def _check_ranges(profile, positive):
         value = getattr(profile, f.name)
         if not 0 <= value < math.inf or (value == 0 and f.name in positive):
             kind = "positive" if f.name in positive else "non-negative"
-            raise ValueError(f"{f.name} must be finite and {kind}, got {value}")
+            raise ConfigError(f"{f.name} must be finite and {kind}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ class WifiMacProfile:
                              "phy_header_us", "payload_bytes", "block_ack_bytes",
                              "ack_timeout_us", "mac_header_bytes"))
         if not (_is_power_of_two(self.cw_min) and _is_power_of_two(self.cw_max)):
-            raise ValueError("contention windows must be powers of two")
+            raise ConfigError("contention windows must be powers of two")
         if not self.cw_min <= self.cw_max <= 1024:    # aCWmax = 1023 on OFDM PHYs
-            raise ValueError("need cw_min <= cw_max <= 1024")
+            raise ConfigError("need cw_min <= cw_max <= 1024")
         if not 0 <= self.ampdu_exp <= AMPDU_MAX_EXP:
-            raise ValueError("ampdu_exp out of [0, 7]")
+            raise ConfigError("ampdu_exp out of [0, 7]")
         if not 0 < self.max_mpdus <= AMPDU_HARD_LIMIT_MPDUS:
-            raise ValueError("max_mpdus out of (0, 64]")
+            raise ConfigError("max_mpdus out of (0, 64]")
 
     @property
     def difs_us(self) -> float:
@@ -110,7 +110,7 @@ class LaaClassProfile:
         _check_ranges(self, ("laa_class", "cw_min", "txop_coex_us", "txop_shared_us",
                              "slot_us", "laa_slot_us"))
         if self.cw_min > self.cw_max:
-            raise ValueError("cw_min must not exceed cw_max")
+            raise ConfigError("cw_min must not exceed cw_max")
 
     @property
     def defer_total_us(self) -> float:
@@ -189,6 +189,15 @@ def max_mpdus_per_burst(profile: WifiMacProfile, data_rate_mbps: float,
     return min(profile.max_mpdus, by_airtime, by_bytes)
 
 
+def full_burst_mpdus(profile: WifiMacProfile, bandwidth_mhz: int) -> int:
+    """MPDUs in a full Wi-Fi burst at the width; ``EmptyBurstError`` if none fits."""
+    n = max_mpdus_per_burst(profile, wifi_rate(bandwidth_mhz), profile.max_ppdu_us)
+    if n == 0:
+        raise EmptyBurstError(f"no {profile.payload_bytes} B MPDU fits a Wi-Fi burst "
+                              f"at {bandwidth_mhz} MHz")
+    return n
+
+
 def padded_airtime_us(psdu_bits: int, rate_mbps: float) -> float:
     """PSDU airtime rounded up to whole OFDM symbols, incl. service/tail bits."""
     bits_per_symbol = rate_mbps * OFDM_SYMBOL_US
@@ -247,7 +256,8 @@ def _converters(cls) -> dict:
 
 def section_kwargs(cls, section: str, items) -> dict:
     """Constructor kwargs for ``cls`` from a section's ``(key, value)`` text
-    pairs, each value converted to its field's declared type."""
+    pairs, each value converted to its field's declared type; every field
+    with no default must be given."""
     converters = _converters(cls)
     kwargs = {}
     for key, raw in items:
@@ -259,6 +269,10 @@ def section_kwargs(cls, section: str, items) -> dict:
         except ValueError:
             raise ConfigError(f"{section} parameter {key!r} must be "
                               f"{convert.__name__}, got {raw!r}") from None
+    missing = [f.name for f in fields(cls) if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{section} section lacks {', '.join(missing)}")
     return kwargs
 
 

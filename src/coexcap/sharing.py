@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .coex import CoexScenario, capacity_no_coex
-from .errors import InfeasiblePartitionError, InvalidWindowError
+from .errors import ConfigError, InfeasiblePartitionError, InvalidWindowError
 from .params import (BASIC_RATE_MBPS, NON_HT_PREAMBLE_US, SIFS_US, WIFI_RATES_MBPS,
                      LaaClassProfile, WifiMacProfile, padded_airtime_us)
 
@@ -281,10 +281,19 @@ def pick_best(dtm_utility: float, dfm_utility: float) -> tuple[str, bool]:
     return ("dtm", False) if dtm_utility > dfm_utility else ("dfm", False)
 
 
+def check_sharing_ratio(wifi_ratio: float) -> None:
+    """Refuse a Wi-Fi share of the channel outside (0, 1]."""
+    if not 0.0 < wifi_ratio <= 1.0:
+        raise ConfigError(f"the Wi-Fi sharing ratio must lie in (0, 1], got {wifi_ratio:g}")
+
+
 def best_dma(channel_bw_mhz: int, wifi_ratio: float, scenario: CoexScenario,
              alpha: float = 0.5,
              combined_window_us: float = COMBINED_WINDOW_US) -> BestDmaResult:
     """Recommend the sharing approach that maximizes the weighted capacity."""
+    check_sharing_ratio(wifi_ratio)
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must lie in [0, 1], got {alpha:g}")
     t_wifi = combined_window_us * wifi_ratio
     schedule = DtmSchedule(t_wifi, combined_window_us - t_wifi)
     dtm = dtm_capacities(schedule, scenario, alpha)

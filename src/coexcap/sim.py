@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 from .coex import LAA_EFFICIENCY
 from .errors import ConfigError
 from .params import (LAA_SLOT_US, NON_HT_PREAMBLE_US, LaaClassProfile,
-                     WifiMacProfile, laa_class1, laa_rate, max_mpdus_per_burst,
+                     WifiMacProfile, full_burst_mpdus, laa_class1, laa_rate,
                      padded_airtime_us, wifi_rate)
 from .sharing import DtmSchedule, cts_airtime
 
@@ -102,7 +102,8 @@ class SimConfig:
                 ("wifi slot_us", self.wifi.slot_us, 1),
                 ("wifi sifs_us", self.wifi.sifs_us, 1),
                 ("laa laa_slot_us", self.laa.laa_slot_us, 1)):
-            if value is not None and not (math.isfinite(value) and _ns(value) >= least_ns):
+            if value is not None and not (math.isfinite(value * _NS)
+                                          and _ns(value) >= least_ns):
                 raise ConfigError(f"{name} must be a finite duration of at least "
                                   f"{least_ns} ns, got {value}")
         # the schedule refuses DTM windows that both round to 0 ns
@@ -117,6 +118,7 @@ class SimConfig:
                     f"{self.wifi.payload_bytes}")
             object.__setattr__(self, "wifi",
                                replace(self.wifi, payload_bytes=self.payload_bytes))
+        full_burst_mpdus(self.wifi, self.bandwidth_mhz)
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     w = config.wifi
     rate = wifi_rate(config.bandwidth_mhz)
     laa_rate_mbps = laa_rate(config.bandwidth_mhz)
-    n_full = max_mpdus_per_burst(w, rate, w.max_ppdu_us)
+    n_full = full_burst_mpdus(w, config.bandwidth_mhz)
 
     difs, sifs, slot = _ns(w.difs_us), _ns(w.sifs_us), _ns(w.slot_us)
     ba_air = _ns(padded_airtime_us(w.block_ack_bytes * 8, w.basic_rate_mbps))

@@ -12,12 +12,12 @@ from dataclasses import dataclass, replace
 
 from . import sharing
 from .coex import CoexScenario, capacity_no_coex, coexistence_throughputs
-from .errors import EmptyBurstError, InfeasiblePartitionError
-from .params import (LAA_RATES_MBPS, WIFI_RATES_MBPS, laa_class1, laa_class4,
-                     wifi_default)
-from .sharing import (COMBINED_WINDOW_US, DtmSchedule, best_dma, dfm_capacities,
-                      dfm_partition, dtm_capacities, effective_channel_usage,
-                      windowed_capacity)
+from .errors import ConfigError, InfeasiblePartitionError
+from .params import (LAA_RATES_MBPS, WIFI_RATES_MBPS, full_burst_mpdus, laa_class1,
+                     laa_class4, wifi_default)
+from .sharing import (COMBINED_WINDOW_US, DtmSchedule, best_dma, check_sharing_ratio,
+                      dfm_capacities, dfm_partition, dtm_capacities,
+                      effective_channel_usage, windowed_capacity)
 from .sim import DEFAULT_SEED, SimConfig, run_simulation
 
 WIFI_BANDWIDTHS = tuple(sorted(WIFI_RATES_MBPS))
@@ -38,9 +38,7 @@ def scenario_for(bandwidth_mhz: int, laa_class: int = 1, payload_bytes: int = 15
     wifi = replace(wifi_default(), payload_bytes=payload_bytes)
     scenario = CoexScenario(wifi=wifi, laa=_LAA_PROFILES[laa_class](),
                             bandwidth_mhz=bandwidth_mhz, n_w=n_w, n_l=n_l)
-    if scenario.mpdus_per_burst() == 0:
-        raise EmptyBurstError(f"no {payload_bytes} B MPDU fits a Wi-Fi burst "
-                              f"at {bandwidth_mhz} MHz")
+    full_burst_mpdus(wifi, bandwidth_mhz)
     return scenario
 
 
@@ -159,14 +157,14 @@ class SweepSpec:
     def __post_init__(self):
         if not (self.bandwidths and self.ratios and self.classes and self.payloads
                 and self.regimes):
-            raise ValueError("sweep axes must be non-empty")
+            raise ConfigError("sweep axes must be non-empty")
         bad = set(self.regimes) - set(REGIMES)
         if bad:
-            raise ValueError(f"unknown regimes {sorted(bad)}")
-        if any(not 0.0 < r <= 1.0 for r in self.ratios):
-            raise ValueError("sharing ratios must be in (0, 1]")
+            raise ConfigError(f"unknown regimes {sorted(bad)}")
+        for ratio in self.ratios:
+            check_sharing_ratio(ratio)
         if self.t_wifi_us is not None and not 0.0 < self.t_wifi_us < math.inf:
-            raise ValueError(f"t_wifi_us must be finite and positive, got {self.t_wifi_us}")
+            raise ConfigError(f"t_wifi_us must be finite and positive, got {self.t_wifi_us}")
 
 
 def sweep_rows(spec: SweepSpec):

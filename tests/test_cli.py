@@ -11,7 +11,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coexcap.cli import TABLE_READS, main
 from coexcap.params import laa_class1, wifi_default
@@ -38,6 +38,14 @@ preset = table4-class1
 def sim_config_path(tmp_path):
     path = tmp_path / "dtm40.ini"
     path.write_text(SIM_CONFIG)
+    return str(path)
+
+
+@pytest.fixture
+def huge_payload_path(tmp_path):
+    path = tmp_path / "huge_payload.ini"
+    path.write_text("[simulation]\nmode = dfm\npayload_bytes = 1000000000000\n"
+                    "measure_us = 1000000\n")
     return str(path)
 
 
@@ -228,6 +236,23 @@ def test_simulate_payload_from_either_section(tmp_path):
     assert with_preset != run("default", "")
 
 
+def test_simulate_reads_utf8_with_or_without_bom(tmp_path, capsys):
+    text = "[simulation]\nmode = dfm         ; d\u00e9bit\nmeasure_us = 20000\n"
+    outputs = []
+    for name, data in (("plain", text.encode("utf-8")),
+                       ("bom", text.encode("utf-8-sig")),
+                       ("latin1", text.encode("latin-1"))):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_bytes(data)
+        out = tmp_path / f"{name}.csv"
+        outputs.append((run_cli("simulate", str(cfg), "--out", str(out)),
+                        out.read_text() if out.exists() else None))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    # the file is UTF-8 whatever the locale, so a Latin-1 byte is refused
+    assert outputs[2] == (1, None)
+    assert capsys.readouterr().err.startswith("error: cannot parse config file")
+
+
 def test_simulate_rejects_unknown_profile_key(tmp_path, capsys):
     cfg = tmp_path / "bad_profile.ini"
     cfg.write_text("[simulation]\nmode = dfm\n\n[wifi]\nwarp_factor = 9\n")
@@ -336,6 +361,15 @@ def test_simulate_never_crashes_on_config_value(tmp_path, capsys, deadline,
     ("[simulation]\nmode = dtm\nt_wifi_us = 0\nt_laa_us = 0.0004\n",
      "at least one window must be positive"),
     ("[wifi]\npreset = table2-wifi\n", "needs a [simulation] section"),
+    # a section it does not read, or a [DEFAULT] key, which would reach every section
+    ("[simulation]\nmeasure_us = 20000\n\n[wfi]\ncw_min = 1024\ncw_max = 1024\n",
+     "got ['wfi']"),
+    ("[Simulation]\nmeasure_us = 20000\n", "got ['Simulation']"),
+    ("[DEFAULT]\nmode = dtm\n\n[simulation]\nmeasure_us = 20000\n", "got {'mode': 'dtm'}"),
+    # a profile section with fields must give each field that has no default
+    ("[simulation]\n\n[laa]\ntxop_shared_us = 5000\n",
+     "laa section lacks laa_class, defer_slots, cw_min, cw_max, max_retries, txop_coex_us"),
+    ("[simulation]\nmeasure_us = 1e308\n", "measure_us"),
 ])
 def test_simulate_rejects_config(tmp_path, capsys, deadline, text, named):
     cfg = tmp_path / "bad.ini"
@@ -381,6 +415,7 @@ def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
     ("table", "10", "--payload", "1000000000000"),
     ("sweep", "--regimes", "nc", "dtm", "dfm", "--payload", "1000000000000"),
     ("optimize", "--payload", "1000000000000"),
+    ("simulate", "HUGE_PAYLOAD_CONFIG"),
     # a sweep mode refuses the flags it does not read
     ("sweep", "--curve", "dtm-window-efficiency", "--windows", "5000",
      "--bandwidth", "40", "20000", "--ratio", "7", "--regimes", "nc"),
@@ -399,8 +434,9 @@ def test_optimize_rejects_alpha_outside_unit_interval(capsys, alpha):
     ("optimize", "--ratio", "nan"),
     ("optimize", "--ratio", "0"),
 ], ids=" ".join)
-def test_numeric_flag_rejected(capsys, argv):
-    assert run_cli(*argv) == 1
+def test_numeric_flag_rejected(capsys, huge_payload_path, argv):
+    assert run_cli(*(huge_payload_path if a == "HUGE_PAYLOAD_CONFIG" else a
+                     for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
 
@@ -468,6 +504,57 @@ def test_cli_never_crashes_on_numeric_flag(argv):
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
     else:
         assert "nan" not in out.getvalue(), argv
+
+
+# Free-form INI files: the three sections read, [DEFAULT] and a misspelling,
+# a repeated section or key, continuation lines, comments and bare keys, in
+# UTF-8 with or without a BOM, Latin-1 or UTF-16.  Every [simulation]
+# header starts with a short measurement, so a file the command accepts
+# runs for milliseconds.  Repeats, junk and other encodings are drawn less
+# often than clean UTF-8, so that most files reach the section rules.
+INI_SECTIONS = ("simulation", "wifi", "laa", "DEFAULT", "simulaton")
+INI_LINES = ("mode = dfm", "mode = dtm", "t_wifi_us = 2000", "t_laa_us = 2000",
+             "bandwidth_mhz = 20", "seed = 7", "payload_bytes = 500", "measure_us = 50",
+             "preset = table2-wifi", "laa_preset = laa-class4", "cw_min = 32",
+             "txop_shared_us = 5000", "    2000", "; d\u00e9bit", "", "mode")
+INI_ENCODINGS = ("utf-8", "utf-8", "utf-8-sig", "utf-8-sig", "latin-1", "utf-16")
+
+
+@st.composite
+def ini_file(draw):
+    """(file bytes, whether a section or key in it must be refused)."""
+    lines = ["mode = dfm"] if draw(st.integers(0, 9)) == 0 else ["; d\u00e9bit"]
+    names = draw(st.lists(st.sampled_from(INI_SECTIONS), max_size=3, unique=True))
+    if draw(st.booleans()) and "simulation" not in names:
+        names.insert(0, "simulation")
+    if names and draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(names)))
+    refused = False
+    for name in names:
+        body = draw(st.lists(st.sampled_from(INI_LINES), max_size=3, unique=True))
+        refused |= name == "simulaton" or (name == "DEFAULT"
+                                           and any(" = " in line for line in body))
+        lines += [f"[{name}]", *(["measure_us = 20000"] if name == "simulation" else []),
+                  *body]
+    text = "".join(f"{line}\n" for line in lines)
+    return text.encode(draw(st.sampled_from(INI_ENCODINGS))), refused
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ini_file())
+def test_simulate_never_crashes_on_ini_file(tmp_path, deadline, ini):
+    data, refused = ini
+    cfg = tmp_path / "fuzz.ini"
+    cfg.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["simulate", str(cfg), "--out", str(tmp_path / "out.csv")])
+    if status != 0:
+        assert status == 1, data
+        assert err.getvalue().startswith("error:"), (data, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (data, err.getvalue())
+    assert status == 1 or not refused, data
 
 
 @pytest.mark.parametrize("argv", [("optimize", "--ratio", "1e-310"),

@@ -13,7 +13,7 @@ from coexcap.coex import (COEXISTENCE_CACHE_SIZE, BurstDurations, CoexScenario,
                           mean_slot_duration, solve_equilibrium, throughputs,
                           wifi_collision_duration, wifi_success_duration)
 from coexcap import coex
-from coexcap.errors import (ConvergenceError, DegenerateBlockingError,
+from coexcap.errors import (ConfigError, ConvergenceError, DegenerateBlockingError,
                             EmptyBurstError, UnsupportedBandwidthError)
 from coexcap.params import contention_window, laa_class1, laa_class4, wifi_default
 from coexcap.tables import SweepSpec, scenario_for, sweep_rows
@@ -54,6 +54,13 @@ def test_empty_burst_rejected(scenario_80):
     capped = replace(scenario_80, wifi=replace(scenario_80.wifi, max_ppdu_us=1.0))
     with pytest.raises(EmptyBurstError):
         coexistence_throughputs(capped)
+    # the coupled model and the scenario builder refuse with one message
+    with pytest.raises(EmptyBurstError, match="no 99999999 B MPDU fits a Wi-Fi burst"
+                       " at 80 MHz") as refused:
+        scenario_for(80, payload_bytes=99_999_999)
+    oversized = replace(scenario_80, wifi=replace(scenario_80.wifi, payload_bytes=99_999_999))
+    with pytest.raises(EmptyBurstError, match=str(refused.value)):
+        coexistence_throughputs(oversized)
 
 
 def test_laa_burst_durations(laa1, laa4):
@@ -246,7 +253,7 @@ def test_solver_raises_at_the_iteration_cap(monkeypatch):
     (dict(p_fc=math.nan), "p_fc"),
 ])
 def test_scenario_refuses_invalid_inputs(kw, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ConfigError, match=message):
         make_scenario(80, **kw)
 
 

@@ -7,10 +7,13 @@ underscore, needs at least one reference in the package's modules
 excluded). Imports and the name's own ``def``/``class``/assignment do not
 count, so a function that only the test suite calls shows up here.
 No test module imports a leading-underscore name from the package.
+Every ``raise`` in a ``__post_init__`` names a ``CoexcapError`` subclass.
 """
 
 import ast
 from pathlib import Path
+
+from coexcap import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coexcap"
@@ -79,3 +82,25 @@ def test_no_test_imports_a_private_name():
                      and (node.module or "").split(".")[0] == "coexcap"
                      for alias in node.names if alias.name.startswith("_"))
     assert private == [], f"tests import private names: {private}"
+
+
+def raised_in_post_init():
+    """(place, exception class name) of every ``raise`` inside a
+    ``__post_init__`` of the package."""
+    return [(f"{path.name}:{node.lineno}", exc.id if isinstance(exc, ast.Name) else None)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for method in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+            for node in ast.walk(method) if isinstance(node, ast.Raise)
+            for exc in [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]]
+
+
+def test_value_types_refuse_with_a_package_error():
+    # a value type's refusal is a CoexcapError, so a library caller and
+    # the CLI's one handler catch it like every other bad input
+    typed = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.CoexcapError)}
+    raised = raised_in_post_init()
+    assert raised
+    untyped = [f"{place} raises {name}" for place, name in raised if name not in typed]
+    assert untyped == [], f"__post_init__ refusals outside CoexcapError: {untyped}"

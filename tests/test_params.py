@@ -30,20 +30,27 @@ def test_profile_validation_rejects_inconsistency():
     # DIFS is derived from SIFS, AIFSN and the slot, so it cannot be set
     with pytest.raises(TypeError):
         WifiMacProfile(difs_us=30.0)
+    with pytest.raises(ConfigError):
+        WifiMacProfile(cw_min=17)
+    with pytest.raises(ConfigError):
+        WifiMacProfile(ampdu_exp=8)
+    with pytest.raises(ConfigError):
+        WifiMacProfile(max_mpdus=65)
+    with pytest.raises(ConfigError):
+        WifiMacProfile(cw_max=2048)
+    with pytest.raises(ConfigError, match="payload_bytes must be finite and positive"):
+        WifiMacProfile(payload_bytes=0)
+    for bad in (0.0, -500.0, float("nan")):
+        with pytest.raises(ConfigError):
+            replace(laa_class1(), laa_slot_us=bad)
+    with pytest.raises(ConfigError):
+        replace(laa_class1(), cw_min=32)
+    for name in ("slot_us", "max_ppdu_us"):
+        with pytest.raises(ConfigError):
+            replace(wifi_default(), **{name: float("inf")})
+    # a ConfigError is also a ValueError, the type these refusals had
     with pytest.raises(ValueError):
         WifiMacProfile(cw_min=17)
-    with pytest.raises(ValueError):
-        WifiMacProfile(ampdu_exp=8)
-    with pytest.raises(ValueError):
-        WifiMacProfile(max_mpdus=65)
-    with pytest.raises(ValueError):
-        WifiMacProfile(cw_max=2048)
-    for bad in (0.0, -500.0, float("nan")):
-        with pytest.raises(ValueError):
-            replace(laa_class1(), laa_slot_us=bad)
-    for name in ("slot_us", "max_ppdu_us"):
-        with pytest.raises(ValueError):
-            replace(wifi_default(), **{name: float("inf")})
 
 
 def test_peak_phy_rate_table_values():

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_scenario
 from coexcap.coex import capacity_no_coex, coexistence_throughputs
-from coexcap.errors import CoexcapError, InfeasiblePartitionError, InvalidWindowError
+from coexcap.errors import (CoexcapError, ConfigError, InfeasiblePartitionError,
+                            InvalidWindowError)
 from coexcap.sharing import (DfmPartition, DtmSchedule, best_dma, cts_airtime,
                              cts_downtime, dfm_capacities, dfm_partition,
                              dtm_capacities, effective_channel_usage,
                              laa_access_time, pick_best, wifi_access_time,
                              windowed_capacity, windowed_capacity_from)
+from coexcap.tables import SweepSpec
 from oracles import pack_window
 
 
@@ -226,6 +228,25 @@ def test_best_dma_reference_labels():
     assert best_dma(40, 0.5, make_scenario(40, 1)).recommendation == "dtm"
     assert best_dma(160, 0.5, make_scenario(160, 1)).recommendation == "dfm"
     assert best_dma(80, 0.5, make_scenario(80, 4)).recommendation == "dfm"
+
+
+@pytest.mark.parametrize("ratio, alpha, message", [
+    (0.0, 0.5, "sharing ratio"), (1.5, 0.5, "sharing ratio"),
+    (float("nan"), 0.5, "sharing ratio"), (0.25, 7.0, "alpha"),
+    (0.25, -0.5, "alpha"), (0.25, float("nan"), "alpha"),
+])
+def test_best_dma_refuses_ratio_and_alpha(ratio, alpha, message):
+    # unrefused, alpha = 7 prices a DTM aggregate of -452.08 Mbps at 80 MHz, 25 %
+    with pytest.raises(ConfigError, match=message):
+        best_dma(80, ratio, make_scenario(80, 1), alpha=alpha)
+
+
+def test_sweep_refuses_ratio_by_the_same_rule():
+    with pytest.raises(ConfigError, match="sharing ratio must lie in"):
+        SweepSpec(ratios=(7,))
+    with pytest.raises(ConfigError, match="sharing ratio must lie in"):
+        SweepSpec(ratios=(0.0,))
+    assert SweepSpec(ratios=(1.0,)).ratios == (1.0,)
 
 
 def test_best_dma_infeasible_dfm_flagged():

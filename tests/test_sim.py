@@ -13,7 +13,7 @@ import pytest
 
 from conftest import make_scenario
 from coexcap.coex import LAA_EFFICIENCY, capacity_no_coex
-from coexcap.errors import ConfigError, InvalidWindowError
+from coexcap.errors import ConfigError, EmptyBurstError, InvalidWindowError
 from coexcap.params import WifiMacProfile, laa_class4, laa_rate, wifi_default
 from coexcap.sharing import MAX_CTS_RESERVATION_US, cts_airtime, cts_downtime
 from coexcap import sim
@@ -56,6 +56,7 @@ def test_config_validation():
                dict(beacon_interval_us=float("inf")),
                dict(warmup_us=float("nan")),
                dict(measure_us=float("inf")),
+               dict(measure_us=1e308),                  # infinite in ns
                dict(laa=replace(laa_class4(), laa_slot_us=1e-4)),
                # two payload sources that disagree
                dict(wifi=replace(wifi_default(), payload_bytes=9000),
@@ -104,6 +105,16 @@ def test_dtm_tiny_wifi_window_starves_wifi():
     result = run_simulation(dtm_config(t_wifi_us=50.0))
     assert result.wifi_throughput_mbps == 0.0
     assert result.laa_airtime_throughput_mbps > 0.0
+
+
+@pytest.mark.parametrize("mode", ["dfm", "dtm"])
+def test_config_refuses_a_payload_no_burst_carries(mode):
+    # run, such a config would send nothing and report 0 Mbps
+    windows = dict(t_wifi_us=5000.0, t_laa_us=5000.0) if mode == "dtm" else {}
+    with pytest.raises(EmptyBurstError, match="no 99999999 B MPDU fits"):
+        SimConfig(mode=mode, payload_bytes=99_999_999, measure_us=SHORT, **windows)
+    with pytest.raises(EmptyBurstError):
+        SimConfig(mode=mode, wifi=replace(wifi_default(), max_ppdu_us=40.0), **windows)
 
 
 def test_windows_below_one_ns_rejected():
